@@ -19,11 +19,13 @@ from .cfrac import (
 )
 from .dynsys import (
     Mobius,
+    PeriodicCount,
     PeriodicReport,
     aberth_roots,
     compose,
     conjugate,
     iterate,
+    periodic_count,
     periodic_points,
     zeta_from_counts,
 )
@@ -78,6 +80,7 @@ __all__ = [
     "KInvariants",
     "Mobius",
     "ParseError",
+    "PeriodicCount",
     "PeriodicReport",
     "Poly",
     "PseudoLattice",
@@ -113,6 +116,7 @@ __all__ = [
     "per_count_enumerate",
     "per_count_trace",
     "period_matrix",
+    "periodic_count",
     "periodic_points",
     "scale_lattice",
     "shift_equivalent",

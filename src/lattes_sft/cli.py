@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .cfrac import ContinuedFraction, IntMatrix2, QuadSurd, expand
@@ -44,11 +45,13 @@ class CliConfig:
             raise DomainError("output must be 'text' or 'json'")
 
 
-def _emit(doc: dict, text_lines: list[str], cfg: CliConfig) -> None:
+def _emit(doc: dict, text_lines: Callable[[], list[str]], cfg: CliConfig) -> None:
+    """Print doc as JSON, or the lines text_lines() builds; they are built
+    only for text output."""
     if cfg.output == "json":
         print(json.dumps(doc, indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -72,7 +75,7 @@ def cmd_functor(args, cfg: CliConfig) -> int:
         out = apply_functor(E, eps)
     else:
         out = functor_invariants(args.D, eps)
-    _emit(out.to_json_dict(), _functor_text(out), cfg)
+    _emit(out.to_json_dict(), lambda: _functor_text(out), cfg)
     return EXIT_OK
 
 
@@ -80,7 +83,7 @@ def cmd_zeta(args, cfg: CliConfig) -> int:
     A = SFTMatrix.parse(args.matrix)
     z = zeta_sft(A)
     doc = {"matrix": [list(r) for r in A.rows], "zeta": z.to_json_dict()}
-    _emit(doc, [str(z)], cfg)
+    _emit(doc, lambda: [str(z)], cfg)
     return EXIT_OK
 
 
@@ -95,15 +98,18 @@ def _map_from_args(args) -> RationalMap:
 def cmd_periodic(args, cfg: CliConfig) -> int:
     phi = _map_from_args(args)
     rep = periodic_points(phi, args.n, cfg.precision_bits)
-    lines = [
-        f"n: {rep.n}",
-        f"degree: {rep.degree}",
-        f"count_with_multiplicity: {rep.count_with_multiplicity}",
-        f"count_distinct: {rep.count_distinct}",
-        f"infinity_fixed: {rep.infinity_fixed}",
-        "finite_points: "
-        + "; ".join(f"{z.real:.12g}{z.imag:+.12g}i" for z in rep.finite_points),
-    ]
+
+    def lines():
+        return [
+            f"n: {rep.n}",
+            f"degree: {rep.degree}",
+            f"count_with_multiplicity: {rep.count_with_multiplicity}",
+            f"count_distinct: {rep.count_distinct}",
+            f"infinity_fixed: {rep.infinity_fixed}",
+            "finite_points: "
+            + "; ".join(f"{z.real:.12g}{z.imag:+.12g}i" for z in rep.finite_points),
+        ]
+
     _emit(rep.to_json_dict(), lines, cfg)
     return EXIT_OK
 
@@ -112,16 +118,20 @@ def cmd_shift_equiv(args, cfg: CliConfig) -> int:
     A = SFTMatrix.parse(args.A)
     B = SFTMatrix.parse(args.B)
     res = shift_equivalent(A, B, cfg.entry_bound, cfg.lag_bound)
-    lines = [f"status: {res.status}"]
-    if res.certificate is not None:
-        c = res.certificate
-        lines += [
-            f"R: {';'.join(','.join(map(str, r)) for r in c.R)}",
-            f"S: {';'.join(','.join(map(str, r)) for r in c.S)}",
-            f"k: {c.k}",
-        ]
-    if res.witness is not None:
-        lines.append(f"witness: {res.witness}")
+
+    def lines():
+        out = [f"status: {res.status}"]
+        if res.certificate is not None:
+            c = res.certificate
+            out += [
+                f"R: {';'.join(','.join(map(str, r)) for r in c.R)}",
+                f"S: {';'.join(','.join(map(str, r)) for r in c.S)}",
+                f"k: {c.k}",
+            ]
+        if res.witness is not None:
+            out.append(f"witness: {res.witness}")
+        return out
+
     _emit(res.to_json_dict(), lines, cfg)
     return EXIT_OK
 
@@ -133,14 +143,14 @@ def cmd_cfrac(args, cfg: CliConfig) -> int:
         "surd": str(surd),
         "cf": {"preperiod": list(cf.preperiod), "period": list(cf.period)},
     }
-    _emit(doc, [str(cf)], cfg)
+    _emit(doc, lambda: [str(cf)], cfg)
     return EXIT_OK
 
 
 def cmd_compare(args, cfg: CliConfig) -> int:
     eps = QuadElem.parse(args.eps)
     E = EllipticCurve.parse(args.curve, cm_D=args.D)
-    rows = comparison_report(E, eps, args.n, cfg.precision_bits)
+    rows = comparison_report(E, eps, args.n)
     phi = duplication_map(E)
     doc = {
         "curve": str(E),
@@ -150,18 +160,20 @@ def cmd_compare(args, cfg: CliConfig) -> int:
         "epsilon_norm": str(eps.norm()),
         "rows": [r.to_json_dict() for r in rows],
     }
-    lines = [
-        f"curve: {E}",
-        f"D: {args.D}",
-        f"epsilon: {eps}",
-        f"map_degree: {phi.degree}",
-        f"epsilon_norm: {eps.norm()}",
-        "n\ttrace_count\tdistinct_count\tmultiplicity_count",
-    ]
-    lines += [
-        f"{r.n}\t{r.trace_count}\t{r.distinct_count}\t{r.multiplicity_count}"
-        for r in rows
-    ]
+
+    def lines():
+        return [
+            f"curve: {E}",
+            f"D: {args.D}",
+            f"epsilon: {eps}",
+            f"map_degree: {phi.degree}",
+            f"epsilon_norm: {eps.norm()}",
+            "n\ttrace_count\tdistinct_count\tmultiplicity_count",
+        ] + [
+            f"{r.n}\t{r.trace_count}\t{r.distinct_count}\t{r.multiplicity_count}"
+            for r in rows
+        ]
+
     _emit(doc, lines, cfg)
     return EXIT_OK
 
@@ -203,13 +215,15 @@ def cmd_verify(args, cfg: CliConfig) -> int:
             {"name": n, "expected": e, "got": g, "ok": e == g} for n, e, g in checks
         ],
     }
-    lines = []
-    for n, e, g in checks:
-        if e == g:
-            lines.append(f"ok {n}: {g}")
-        else:
-            lines.append(f"MISMATCH {n}: expected {e}, got {g}")
-    lines.append("verify: " + ("OK" if not mismatches else "MISMATCH"))
+
+    def lines():
+        out = [
+            f"ok {n}: {g}" if e == g else f"MISMATCH {n}: expected {e}, got {g}"
+            for n, e, g in checks
+        ]
+        out.append("verify: " + ("OK" if not mismatches else "MISMATCH"))
+        return out
+
     _emit(doc, lines, cfg)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
@@ -229,7 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=128,
-        help="float precision in bits (>= 64); env LATTES_PRECISION overrides",
+        help=(
+            "root-location precision of 'periodic' in bits (>= 64); "
+            "env LATTES_PRECISION overrides"
+        ),
     )
     parser.add_argument(
         "--entry-bound", type=int, default=10, help="entry bound for searches"
@@ -304,6 +321,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # Exact results such as long period matrices pass the interpreter's
+    # int-to-string digit limit; lift it while the command prints them.
+    has_limit = hasattr(sys, "get_int_max_str_digits")
+    if has_limit:
+        digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, cfg)
     except ParseError as exc:
@@ -312,6 +335,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entry() -> None:

@@ -1,9 +1,10 @@
 """Exact dynamics of rational self-maps of the projective line: composition,
 Moebius conjugation, periodic-point counting, and truncated zeta series.
 
-Counts are symbolic (degrees of exact polynomials); the floating root finder
-only locates the finitely many distinct finite periodic points and never
-feeds back into a count.
+Counts are symbolic (degrees of exact polynomials) and come from
+``periodic_count`` alone; the floating root finder runs only in
+``periodic_points``, locates the finitely many distinct finite periodic
+points and never feeds back into a count.
 """
 
 from __future__ import annotations
@@ -206,8 +207,22 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200):
     return roots
 
 
-def periodic_points(phi: RationalMap, n: int, precision: int = 128) -> PeriodicReport:
-    """Solutions of phi^n(x) = x with exact counts and float locations."""
+@dataclass(frozen=True)
+class PeriodicCount:
+    """Exact count of the solutions of phi^n(x) = x on the projective line.
+
+    ``squarefree`` is the square-free part of P_n - x Q_n, where
+    phi^n = P_n / Q_n; its roots are the finite periodic points."""
+
+    degree: int
+    count_with_multiplicity: int
+    count_distinct: int
+    infinity_fixed: bool
+    squarefree: Poly
+
+
+def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
+    """Exact period-n counts of phi with no root finding."""
     if n < 1:
         raise DomainError("period must be >= 1")
     d = phi.degree
@@ -218,20 +233,34 @@ def periodic_points(phi: RationalMap, n: int, precision: int = 128) -> PeriodicR
     F = P - Poly.x() * Q
     infinity_fixed = P.degree > Q.degree
     sqf = F.squarefree_part()
-    count_distinct = sqf.degree + (1 if infinity_fixed else 0)
+    return PeriodicCount(
+        degree=d,
+        count_with_multiplicity=d**n + 1,
+        count_distinct=sqf.degree + (1 if infinity_fixed else 0),
+        infinity_fixed=infinity_fixed,
+        squarefree=sqf,
+    )
+
+
+def periodic_points(phi: RationalMap, n: int, precision: int = 128) -> PeriodicReport:
+    """Solutions of phi^n(x) = x with exact counts and float locations."""
+    count = periodic_count(phi, n)
     pts = tuple(
         sorted(
-            (complex(float(z.real), float(z.imag)) for z in aberth_roots(sqf, precision)),
+            (
+                complex(float(z.real), float(z.imag))
+                for z in aberth_roots(count.squarefree, precision)
+            ),
             key=lambda v: (v.real, v.imag),
         )
     )
     return PeriodicReport(
         n=n,
-        degree=d,
-        count_with_multiplicity=d**n + 1,
-        count_distinct=count_distinct,
+        degree=count.degree,
+        count_with_multiplicity=count.count_with_multiplicity,
+        count_distinct=count.count_distinct,
         finite_points=pts,
-        infinity_fixed=infinity_fixed,
+        infinity_fixed=count.infinity_fixed,
     )
 
 

@@ -2,8 +2,10 @@
 to shift-dynamics invariants, plus the side-by-side periodic-point
 comparison harness.
 
-The comparison harness only asserts identities that are internally forced
-(the Bezout count degree^n + 1 and the trace/enumeration agreement); the
+The comparison harness uses exact counts only, with no root finding, and
+asserts three identities that are internally forced: the Bezout count
+degree^n + 1, the trace/enumeration agreement, and the closed-form Lattes
+count 4^n + 1 of distinct period-n points of the doubling map.  The
 complex-map distinct count is reported next to the trace count, never
 asserted equal to it.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfrac import ContinuedFraction, IntMatrix2, QuadSurd, expand, period_matrix, square_part
-from .dynsys import periodic_points
+from .dynsys import periodic_count
 from .errors import DomainError
 from .exactnum import QuadElem, companion_matrix
 from .lattes import EllipticCurve, duplication_map
@@ -142,9 +144,7 @@ class ComparisonRow:
         }
 
 
-def comparison_report(
-    E: EllipticCurve, eps: QuadElem, n_max: int, precision: int = 128
-) -> list[ComparisonRow]:
+def comparison_report(E: EllipticCurve, eps: QuadElem, n_max: int) -> list[ComparisonRow]:
     """Side-by-side periodic-point counts for the doubling map of E and the
     edge shift of the companion matrix of eps, for n = 1..n_max."""
     if not 1 <= n_max <= 4:
@@ -157,18 +157,23 @@ def comparison_report(
     d = phi.degree
     rows = []
     for n in range(1, n_max + 1):
-        rep = periodic_points(phi, n, precision)
+        count = periodic_count(phi, n)
         tr = per_count_trace(A, n)
-        if rep.count_with_multiplicity != d**n + 1:
+        if count.count_with_multiplicity != d**n + 1:
             raise ArithmeticError("Bezout count identity violated")
         if tr != per_count_enumerate(A, n):
             raise ArithmeticError("trace/enumeration identity violated")
+        # The period-n points of the doubling map are the x-coordinates of
+        # E[2^n - 1] and E[2^n + 1], which meet only in O: 4^n finite points
+        # plus infinity on every non-singular curve.
+        if count.count_distinct != 4**n + 1:
+            raise ArithmeticError("closed-form Lattes count identity violated")
         rows.append(
             ComparisonRow(
                 n=n,
                 trace_count=tr,
-                distinct_count=rep.count_distinct,
-                multiplicity_count=rep.count_with_multiplicity,
+                distinct_count=count.count_distinct,
+                multiplicity_count=count.count_with_multiplicity,
             )
         )
     return rows

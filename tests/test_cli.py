@@ -1,6 +1,10 @@
 import json
+import os
+import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,22 @@ class TestFunctor:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_period_matrix_past_digit_limit(self, capsys, output):
+        # period 13340: the entries of T have 6876 decimal digits, more than
+        # the interpreter's default int-to-string limit of 4300
+        has_limit = hasattr(sys, "get_int_max_str_digits")
+        before = sys.get_int_max_str_digits() if has_limit else None
+        rc, out, err = run(
+            capsys,
+            ["--output", output, "functor", "--D", "600000239",
+             "--eps", "51708+3*sqrt(600000239)"],
+        )
+        assert (rc, err) == (0, "")
+        assert max(len(d) for d in re.findall(r"\d+", out)) == 6876
+        if has_limit:
+            assert sys.get_int_max_str_digits() == before
 
 
 class TestZeta:
@@ -226,6 +246,21 @@ class TestConfig:
         monkeypatch.setenv("LATTES_PRECISION", "lots")
         rc, _, err = run(capsys, ["verify"])
         assert rc == 2
+
+
+def test_python_m_runs_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattes_sft", "--output", "json", "verify"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
 
 
 @pytest.mark.skipif(shutil.which("lattes") is None, reason="console script not on PATH")

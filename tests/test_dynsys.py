@@ -16,6 +16,7 @@ from lattes_sft import (
     conjugate,
     duplication_map,
     iterate,
+    periodic_count,
     periodic_points,
     zeta_from_counts,
     zeta_sft,
@@ -150,6 +151,15 @@ class TestPeriodicPoints:
         assert rep.count_distinct == 5
         assert rep.infinity_fixed
         assert len(rep.finite_points) == 4
+
+    def test_count_route_matches_located_report(self):
+        for n in (1, 2):
+            count = periodic_count(Z2, n)
+            rep = periodic_points(Z2, n)
+            assert (
+                count.count_with_multiplicity, count.count_distinct, count.infinity_fixed
+            ) == (rep.count_with_multiplicity, rep.count_distinct, rep.infinity_fixed)
+            assert count.squarefree.degree == len(rep.finite_points)
 
     def test_counts_are_conjugacy_invariant(self):
         rng = random.Random(103)

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -178,6 +180,47 @@ class TestComparisonReport:
         rows = comparison_report(CURVE, SQRT2, 2)
         for r in rows:
             assert r.trace_count == per_count_enumerate(A, r.n)
+
+    def test_counts_need_no_root_finding(self, monkeypatch):
+        def no_roots(*args, **kwargs):
+            raise AssertionError("comparison_report located roots")
+
+        monkeypatch.setattr("lattes_sft.dynsys.aberth_roots", no_roots)
+        rows = comparison_report(CURVE, SQRT2, 3)
+        assert [(r.trace_count, r.distinct_count) for r in rows] == [
+            (0, 5), (4, 17), (0, 65)
+        ]
+
+    def test_worked_example_period_four(self):
+        rows = comparison_report(CURVE, SQRT2, 4)
+        assert rows[-1].distinct_count == rows[-1].multiplicity_count == 257
+        # Lucas recurrence s_n = Tr s_{n-1} - N s_{n-2} for tr(A^n)
+        tr, nm = 0, -2
+        s = [2, tr]
+        for _ in range(3):
+            s.append(tr * s[-1] - nm * s[-2])
+        assert [r.trace_count for r in rows] == s[1:]
+
+    def test_large_coefficient_curve(self):
+        # j = -32768, D = 11: root location on this model does not converge
+        # at n = 3, which the counts must not depend on
+        E = EllipticCurve(-4, -112, 656, cm_D=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = comparison_report(E, QuadElem(0, 1, 11), 3)
+        assert [r.distinct_count for r in rows] == [5, 17, 65]
+        assert [r.trace_count for r in rows] == [0, 22, 0]
+
+    def test_closed_form_count_checked(self, monkeypatch):
+        from lattes_sft import dynsys, pipeline
+
+        def one_short(phi, n):
+            count = dynsys.periodic_count(phi, n)
+            return dataclasses.replace(count, count_distinct=count.count_distinct - 1)
+
+        monkeypatch.setattr(pipeline, "periodic_count", one_short)
+        with pytest.raises(ArithmeticError, match="closed-form"):
+            comparison_report(CURVE, SQRT2, 1)
 
     def test_guard(self):
         with pytest.raises(DomainError):
