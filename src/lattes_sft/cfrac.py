@@ -5,9 +5,18 @@ Q dividing D - P*P, which makes the expansion recurrence
 
     a = floor((P + sqrt(D)) / Q),   P' = a*Q - P,   Q' = (D - P'*P') / Q
 
-purely integral.  States (P, Q) repeat by Lagrange periodicity; the expansion
-is cut at the first repeated state, so the preperiod is as short as possible
-and the returned period is a minimal cycle.
+purely integral.  By Galois's theorem the expansion of a surd is purely
+periodic exactly when the surd is reduced (x > 1 and -1 < x' < 0), so the
+period starts at the first reduced state and ends when that state comes
+back: the preperiod is as short as possible and the period is a minimal
+cycle, with no table of visited states.  The period matrix is a balanced
+product, so its few large products run at the interpreter's fast
+(Karatsuba) multiplication instead of a quadratic left-to-right fold.
+
+Work is bounded: ``square_part`` trial-divides only up to
+``TRIAL_DIVISION_BOUND`` and ``expand`` computes at most ``EXPAND_BUDGET``
+partial quotients in each of its two phases; past either bound they raise
+``BudgetExceededError``.
 """
 
 from __future__ import annotations
@@ -17,7 +26,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DomainError, ParseError
+from .errors import BudgetExceededError, DomainError, ParseError
+
+# Largest trial divisor of square_part; a cofactor left below its cube has
+# at most two prime factors and is split exactly.
+TRIAL_DIVISION_BOUND = 2**20
+
+# Most partial quotients expand computes for the preperiod, and again for
+# the period, before it gives up.
+EXPAND_BUDGET = 10**6
+
+# Partial quotients folded by plain recurrence into one leaf matrix of the
+# balanced product in period_matrix.
+_PERIOD_CHUNK = 32
 
 
 def is_square(n: int) -> bool:
@@ -28,12 +49,18 @@ def is_square(n: int) -> bool:
 
 
 def square_part(n: int) -> tuple[int, int]:
-    """Split n > 0 as m*m * kernel with kernel square-free; returns (m, kernel)."""
+    """Split n > 0 as m*m * kernel with kernel square-free; returns (m, kernel).
+
+    Trial division stops at TRIAL_DIVISION_BOUND = B.  Every prime factor of
+    what is left then exceeds B, so a cofactor below B**3 is 1, a prime, a
+    prime square or a product of two distinct primes; a larger one raises
+    BudgetExceededError."""
     m = 1
     kernel = 1
     rest = n
     p = 2
-    while p * p <= rest:
+    limit = min(isqrt(rest), TRIAL_DIVISION_BOUND)
+    while p <= limit:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -42,7 +69,18 @@ def square_part(n: int) -> tuple[int, int]:
             m *= p ** (e // 2)
             if e % 2:
                 kernel *= p
+            limit = min(isqrt(rest), TRIAL_DIVISION_BOUND)
         p += 1 if p == 2 else 2
+    if p * p <= rest:
+        # stopped at the bound, so every prime factor of rest exceeds it
+        if rest >= TRIAL_DIVISION_BOUND**3:
+            raise BudgetExceededError(
+                f"square_part({n}): the cofactor {rest} left by trial division "
+                f"up to {TRIAL_DIVISION_BOUND} is not below the bound's cube"
+            )
+        r = isqrt(rest)
+        if r * r == rest:
+            return m * r, kernel
     if rest > 1:
         kernel *= rest
     return m, kernel
@@ -128,13 +166,6 @@ _SURD_RE = re.compile(
 )
 
 
-def _surd_floor(P: int, Q: int, D: int) -> int:
-    s = isqrt(D)
-    if Q > 0:
-        return (P + s) // Q
-    return -((P + s) // (-Q)) - 1
-
-
 @dataclass(frozen=True, eq=False)
 class QuadSurd:
     """The real quadratic irrational (P + sqrt(D))/Q."""
@@ -169,7 +200,10 @@ class QuadSurd:
         return hash(self._canonical())
 
     def floor(self) -> int:
-        return _surd_floor(self.P, self.Q, self.D)
+        s = isqrt(self.D)
+        if self.Q > 0:
+            return (self.P + s) // self.Q
+        return -((self.P + s) // -self.Q) - 1
 
     def translate(self, k: int) -> "QuadSurd":
         """The surd plus the integer k."""
@@ -248,27 +282,73 @@ class ContinuedFraction:
         return cls(tuple(pre), tuple(per))
 
 
+def surd_step(P: int, Q: int, D: int, a: int) -> tuple[int, int]:
+    """The integer form (P', Q') of 1/((P + sqrt(D))/Q - a), with D kept."""
+    P = a * Q - P
+    return P, (D - P * P) // Q
+
+
 def expand(x: QuadSurd) -> ContinuedFraction:
     """Exact eventually periodic continued fraction of a quadratic surd."""
     P, Q, D = x.P, x.Q, x.D
-    seen: dict[tuple[int, int], int] = {}
-    quotients: list[int] = []
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(quotients)
-        a = _surd_floor(P, Q, D)
-        quotients.append(a)
+    s = isqrt(D)
+    preperiod: list[int] = []
+    # reduced: 0 < P < sqrt(D) and sqrt(D) - P < Q < sqrt(D) + P
+    while not (0 < P <= s and s - P < Q <= s + P):
+        if len(preperiod) == EXPAND_BUDGET:
+            raise BudgetExceededError(
+                f"preperiod of {x} exceeds the expansion budget of {EXPAND_BUDGET} quotients"
+            )
+        a = (P + s) // Q if Q > 0 else -((P + s) // -Q) - 1
+        preperiod.append(a)
+        P, Q = surd_step(P, Q, D, a)
+    P0, Q0 = P, Q
+    period: list[int] = []
+    for _ in range(EXPAND_BUDGET):
+        # A reduced state has Q > 0, and every later state is reduced.  The
+        # step is surd_step, inlined: a call per quotient would cost half
+        # again the time of this loop on long periods.
+        a = (P + s) // Q
+        period.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
-    start = seen[(P, Q)]
-    return ContinuedFraction(tuple(quotients[:start]), tuple(quotients[start:]))
+        if P == P0 and Q == Q0:
+            break
+    else:
+        raise BudgetExceededError(
+            f"period of {x} exceeds the expansion budget of {EXPAND_BUDGET} quotients"
+        )
+    return ContinuedFraction(tuple(preperiod), tuple(period))
+
+
+def _mul4(
+    x: tuple[int, int, int, int], y: tuple[int, int, int, int]
+) -> tuple[int, int, int, int]:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def period_matrix(cf: ContinuedFraction) -> IntMatrix2:
-    """Product of ((a, 1), (1, 0)) over the period, in order."""
-    M = IntMatrix2.identity()
-    for a in cf.period:
-        M = M * IntMatrix2(a, 1, 1, 0)
-    return M
+    """Product of ((a, 1), (1, 0)) over the period, in order.
+
+    Each chunk of the period is folded by the convergent recurrence, whose
+    matrix is ((p_k, p_{k-1}), (q_k, q_{k-1})); the chunk matrices are then
+    multiplied in a balanced tree, in order."""
+    period = cf.period
+    mats = []
+    for i in range(0, len(period), _PERIOD_CHUNK):
+        p, p1, q, q1 = 1, 0, 0, 1
+        for a in period[i : i + _PERIOD_CHUNK]:
+            p, p1 = a * p + p1, p
+            q, q1 = a * q + q1, q
+        mats.append((p, p1, q, q1))
+    while len(mats) > 1:
+        paired = [_mul4(mats[i], mats[i + 1]) for i in range(0, len(mats) - 1, 2)]
+        if len(mats) % 2:
+            paired.append(mats[-1])
+        mats = paired
+    return IntMatrix2(*mats[0])
 
 
 def convergents(cf: ContinuedFraction, n: int) -> list[Fraction]:

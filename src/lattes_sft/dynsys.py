@@ -232,10 +232,17 @@ def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
     P, Q = phin.num, phin.den
     F = P - Poly.x() * Q
     infinity_fixed = P.degree > Q.degree
+    # The multiplicity of infinity is the order at w = 0 of
+    # Q~(w) - w P~(w), with P~, Q~ the reversals of P, Q to degree deg phi^n;
+    # its coefficient of w^i is Q_(N-i) - P_(N+1-i).
+    N = phin.degree
+    mult_infinity = next(
+        i for i in range(N + 2) if Q.coefficient(N - i) != P.coefficient(N + 1 - i)
+    )
     sqf = F.squarefree_part()
     return PeriodicCount(
         degree=d,
-        count_with_multiplicity=d**n + 1,
+        count_with_multiplicity=F.degree + mult_infinity,
         count_distinct=sqf.degree + (1 if infinity_fixed else 0),
         infinity_fixed=infinity_fixed,
         squarefree=sqf,

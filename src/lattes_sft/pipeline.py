@@ -14,7 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfrac import ContinuedFraction, IntMatrix2, QuadSurd, expand, period_matrix, square_part
+from .cfrac import (
+    ContinuedFraction,
+    IntMatrix2,
+    QuadSurd,
+    expand,
+    period_matrix,
+    square_part,
+    surd_step,
+)
 from .dynsys import periodic_count
 from .errors import DomainError
 from .exactnum import QuadElem, companion_matrix
@@ -67,16 +75,37 @@ def _check_field(D: int, eps: QuadElem) -> None:
         )
 
 
+def _check_period_matrix(T: IntMatrix2, cf: ContinuedFraction, x: QuadSurd) -> None:
+    """Second route to T: det T = (-1)^L, and T = ((p, p'), (q, q')) fixes
+    the purely periodic tail (P0 + sqrt(D0))/Q0 of x, i.e. the tail is a
+    root of q t^2 + (q' - p) t - p'.  Its irrational and rational parts
+    vanish separately."""
+    P0, Q0, D0 = x.P, x.Q, x.D
+    for b in cf.preperiod:
+        P0, Q0 = surd_step(P0, Q0, D0, b)
+    (p, p1), (q, q1) = T.rows()
+    if T.det() != (-1) ** len(cf.period):
+        raise ArithmeticError("period matrix determinant is not (-1)^period")
+    if (
+        2 * q * P0 + (q1 - p) * Q0 != 0
+        or q * (P0 * P0 + D0) + (q1 - p) * P0 * Q0 - p1 * Q0 * Q0 != 0
+    ):
+        raise ArithmeticError("period matrix does not fix the periodic tail")
+
+
 def functor_invariants(D: int, eps: QuadElem) -> FunctorOutput:
     """Chain: discriminant transfer, companion matrix, lattice rescaling,
-    continued fraction, period matrix, zeta function, K0."""
+    continued fraction, period matrix (checked against the periodic tail),
+    zeta function, K0."""
     D = cm_to_rm(D)
     _check_field(D, eps)
     A = companion_matrix(eps)
     sub = scale_lattice(PseudoLattice.from_sqrt(D), eps)
     theta_prime = sub.normalized.theta
-    cf = expand(theta_prime.translate(-theta_prime.floor()))
+    x = theta_prime.translate(-theta_prime.floor())
+    cf = expand(x)
     T = period_matrix(cf)
+    _check_period_matrix(T, cf, x)
     sft_A = SFTMatrix.from_intmatrix2(A)
     return FunctorOutput(
         D=D,

@@ -6,6 +6,7 @@ unimodular matrices from explicit elementary products.
 """
 
 import random
+from math import isqrt
 
 from mpmath import mp
 
@@ -20,6 +21,32 @@ def cf_float(value_fn, n: int, precision: int = 512) -> list[int]:
             out.append(a)
             v = 1 / (v - a)
         return out
+
+
+def expand_seen(P: int, Q: int, D: int):
+    """Reference continued fraction of (P + sqrt(D))/Q, in the integer form
+    with Q | D - P*P: step the state (P, Q) and cut at the first state seen
+    before (Lagrange periodicity).  Returns (preperiod, period) tuples."""
+    s = isqrt(D)
+    seen = {}
+    quotients = []
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(quotients)
+        a = (P + s) // Q if Q > 0 else -((P + s) // -Q) - 1
+        quotients.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    start = seen[(P, Q)]
+    return tuple(quotients[:start]), tuple(quotients[start:])
+
+
+def period_matrix_fold(period) -> tuple[int, int, int, int]:
+    """Reference product of ((a, 1), (1, 0)) over period, folded left to
+    right; entries (a, b, c, d) of ((a, b), (c, d))."""
+    a, b, c, d = 1, 0, 0, 1
+    for q in period:
+        a, b, c, d = a * q + b, a, c * q + d, c
+    return a, b, c, d
 
 
 def hnf_oracle(u1: int, v1: int, u2: int, v2: int, window: int = 60):

@@ -3,9 +3,11 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from lattes_sft import (
+    BudgetExceededError,
     ContinuedFraction,
     DomainError,
     IntMatrix2,
@@ -15,7 +17,8 @@ from lattes_sft import (
     expand,
     period_matrix,
 )
-from oracles import cf_float
+from lattes_sft import cfrac
+from oracles import cf_float, expand_seen, period_matrix_fold
 
 
 def surd(P, Q, D):
@@ -136,6 +139,81 @@ class TestExpand:
                 lambda D=D: mp.sqrt(D), 25
             )
 
+    @settings(max_examples=300)
+    @given(
+        st.integers(-300, 300),
+        st.integers(-300, 300).filter(bool),
+        st.integers(2, 10**5).filter(lambda D: isqrt(D) ** 2 != D),
+    )
+    @example(0, -1, 2)  # negative Q, preperiod (-2, 1, 1)
+    @example(0, 3, 2)  # Q does not divide D - P*P, so the surd is rescaled
+    @example(-5, 3, 2)  # rescaled, negative value, preperiod (-2, 1)
+    @example(300, -7, 99991)  # preperiod (-89, 1, 31), period 840
+    def test_matches_seen_state_reference(self, P, Q, D):
+        x = QuadSurd(P, Q, D)
+        pre, per = expand_seen(x.P, x.Q, x.D)
+        assert expand(x) == ContinuedFraction(pre, per)
+
+    def test_period_budget(self, monkeypatch):
+        monkeypatch.setattr(cfrac, "EXPAND_BUDGET", 4)
+        assert expand(surd(0, 1, 7)).period == (1, 1, 1, 4)
+        with pytest.raises(BudgetExceededError, match="period .* budget of 4 quotients"):
+            expand(surd(0, 1, 31))  # period 8
+
+    def test_preperiod_budget(self, monkeypatch):
+        monkeypatch.setattr(cfrac, "EXPAND_BUDGET", 2)
+        assert expand(surd(-5, 3, 2)).preperiod == (-2, 1)
+        monkeypatch.setattr(cfrac, "EXPAND_BUDGET", 1)
+        with pytest.raises(BudgetExceededError, match="preperiod .* budget of 1 quotients"):
+            expand(surd(-5, 3, 2))
+
+
+def square_split(n):
+    """(m, kernel) with n = m*m * kernel, from sympy's factorization."""
+    from sympy import factorint
+
+    m, kernel = 1, 1
+    for p, e in factorint(n).items():
+        m *= p ** (e // 2)
+        kernel *= p ** (e % 2)
+    return m, kernel
+
+
+class TestSquarePart:
+    def test_matches_factorization(self):
+        rng = random.Random(41)
+        for n in [1, 2, 4, 12, 720] + [rng.randint(1, 10**9) for _ in range(300)]:
+            assert cfrac.square_part(n) == square_split(n)
+
+    def test_cofactors_above_the_bound(self):
+        p, q = 1048583, 1048589  # primes just above 2^20
+        assert cfrac.square_part(10**18 + 3) == (1, 10**18 + 3)  # a prime
+        assert cfrac.square_part(12 * p * p) == (2 * p, 3)
+        assert cfrac.square_part(5 * p * q) == (1, 5 * p * q)
+        with pytest.raises(BudgetExceededError, match="1048576"):
+            cfrac.square_part(p * q * 1048601)
+
+    def test_small_bound_is_exact_or_raises(self, monkeypatch):
+        from sympy import factorint
+
+        monkeypatch.setattr(cfrac, "TRIAL_DIVISION_BOUND", 30)
+        rng = random.Random(43)
+        raised = 0
+        for n in [rng.randint(1, 10**6) for _ in range(2000)] + [37 * 37 * 6, 31 * 37 * 8]:
+            try:
+                got = cfrac.square_part(n)
+            except BudgetExceededError:
+                # the part of n with no prime factor up to 30 is at least 30^3
+                big = 1
+                for p, e in factorint(n).items():
+                    if p > 30:
+                        big *= p**e
+                assert big >= 30**3
+                raised += 1
+                continue
+            assert got == square_split(n)
+        assert 0 < raised < 2000
+
 
 class TestPeriodMatrix:
     def test_period_two(self):
@@ -156,6 +234,14 @@ class TestPeriodMatrix:
             s = QuadSurd(rng.randint(-8, 8), rng.choice([-3, -1, 1, 2, 5]), D)
             cf = expand(s)
             assert period_matrix(cf).det() == (-1) ** len(cf.period)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=300))
+    @example([1] * 300)
+    @example([10**6] * 65)  # two full chunks and one quotient more
+    def test_matches_left_fold(self, period):
+        T = period_matrix(ContinuedFraction((), tuple(period)))
+        assert T.entries() == period_matrix_fold(period)
 
 
 class TestConvergents:

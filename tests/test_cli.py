@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,19 @@ class TestFunctor:
         if has_limit:
             assert sys.get_int_max_str_digits() == before
 
+    def test_expansion_budget_exits_1(self, capsys):
+        # D = 10^18 + 3 is prime; its square part is decided at the
+        # trial-division bound, and the period of theta' exceeds the budget
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys,
+            ["functor", "--D", "1000000000000000003",
+             "--eps", "0+1*sqrt(1000000000000000003)"],
+        )
+        assert (rc, out) == (1, "")
+        assert "budget of 1000000 quotients" in err
+        assert time.perf_counter() - start < 10
+
 
 class TestZeta:
     def test_text(self, capsys):
@@ -133,6 +147,14 @@ class TestCfrac:
     def test_bad_syntax_is_usage_error(self, capsys):
         rc, _, _ = run(capsys, ["cfrac", "--surd", "sqrt(2)"])
         assert rc == 2
+
+    def test_expansion_budget_exits_1(self, capsys):
+        # the period of sqrt(100000000000031) has 6,300,568 quotients
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["cfrac", "--surd", "(0+sqrt(100000000000031))/1"])
+        assert (rc, out) == (1, "")
+        assert "budget of 1000000 quotients" in err
+        assert time.perf_counter() - start < 10
 
 
 class TestShiftEquiv:
@@ -248,17 +270,27 @@ class TestConfig:
         assert rc == 2
 
 
-def test_python_m_runs_cli():
+def _python_m_verify(module: str):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lattes_sft", "--output", "json", "verify"],
+    return subprocess.run(
+        [sys.executable, "-m", module, "--output", "json", "verify"],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_python_m_runs_cli():
+    proc = _python_m_verify("lattes_sft")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_python_m_cli_module_runs_cli():
+    proc = _python_m_verify("lattes_sft.cli")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"
 

@@ -27,6 +27,7 @@ from lattes_sft import (
     zeta_sft,
 )
 from lattes_sft.lattice import PseudoLattice
+from oracles import expand_seen, period_matrix_fold
 
 SQRT2 = QuadElem(0, 1, 2)
 CURVE = EllipticCurve(4, 2, 0, cm_D=2)
@@ -114,6 +115,31 @@ class TestFunctor:
         once = scale_lattice(L, eps).index
         twice = scale_lattice(L, eps * eps).index
         assert twice == once * once
+
+    def test_long_period_matches_references(self):
+        # an input of the benchmark's longest period band (L = 13340)
+        D = 600000239
+        out = functor_invariants(D, QuadElem(51708, 3, D))
+        x = out.theta_prime.translate(-out.theta_prime.floor())
+        assert (out.cf.preperiod, out.cf.period) == expand_seen(x.P, x.Q, x.D)
+        assert len(out.cf.period) == 13340
+        assert out.T.entries() == period_matrix_fold(out.cf.period)
+
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (lambda T: IntMatrix2(T.a + 1, T.b, T.c, T.d), "determinant"),
+            # same determinant, but no longer fixes the tail
+            (lambda T: T * IntMatrix2(1, 1, 0, 1), "fix"),
+            (lambda T: T.transpose(), "fix"),
+        ],
+    )
+    def test_period_matrix_checked(self, monkeypatch, perturb, message):
+        from lattes_sft import pipeline
+
+        monkeypatch.setattr(pipeline, "period_matrix", lambda cf: perturb(period_matrix(cf)))
+        with pytest.raises(ArithmeticError, match=message):
+            functor_invariants(7, QuadElem(2, 1, 7))
 
     def test_json_field_names(self):
         doc = apply_functor(CURVE, SQRT2).to_json_dict()
@@ -220,6 +246,14 @@ class TestComparisonReport:
 
         monkeypatch.setattr(pipeline, "periodic_count", one_short)
         with pytest.raises(ArithmeticError, match="closed-form"):
+            comparison_report(CURVE, SQRT2, 1)
+
+    def test_bezout_count_checked(self, monkeypatch):
+        from lattes_sft import dynsys
+
+        iterate = dynsys.iterate
+        monkeypatch.setattr(dynsys, "iterate", lambda f, n: iterate(f, n + 1))
+        with pytest.raises(ArithmeticError, match="Bezout"):
             comparison_report(CURVE, SQRT2, 1)
 
     def test_guard(self):
