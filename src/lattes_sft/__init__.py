@@ -35,7 +35,6 @@ from .lattes import EllipticCurve, RationalMap, double_point, duplication_map, l
 from .lattice import (
     PseudoLattice,
     SublatticeData,
-    cm_to_rm,
     hnf2,
     scale_lattice,
     stationary_matrix,
@@ -96,7 +95,6 @@ __all__ = [
     "ZetaRational",
     "aberth_roots",
     "apply_functor",
-    "cm_to_rm",
     "companion_matrix",
     "comparison_report",
     "compose",

@@ -122,43 +122,14 @@ class IntMatrix2:
             self.c * other.b + self.d * other.d,
         )
 
-    def pow(self, e: int) -> "IntMatrix2":
-        if e < 0:
-            raise DomainError("negative matrix power")
-        out = IntMatrix2.identity()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
-
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
     def trace(self) -> int:
         return self.a + self.d
 
-    def transpose(self) -> "IntMatrix2":
-        return IntMatrix2(self.a, self.c, self.b, self.d)
-
-    def is_nonnegative(self) -> bool:
-        return all(e >= 0 for e in self.entries())
-
     def __str__(self) -> str:
         return f"{self.a},{self.b};{self.c},{self.d}"
-
-    @classmethod
-    def parse(cls, text: str) -> "IntMatrix2":
-        try:
-            rows = [[int(v) for v in row.split(",")] for row in text.strip().split(";")]
-        except ValueError as exc:
-            raise ParseError(f"bad matrix text {text!r}") from exc
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ParseError(f"expected a 2x2 matrix, got {text!r}")
-        return cls.from_rows(rows)
 
 
 _SURD_RE = re.compile(

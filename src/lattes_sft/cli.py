@@ -8,11 +8,11 @@ whole stdout is a single JSON document; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .cfrac import ContinuedFraction, IntMatrix2, QuadSurd, expand
 from .dynsys import periodic_points
@@ -29,61 +29,60 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    precision_bits: int = 128
-    entry_bound: int = 10
-    lag_bound: int = 6
-    output: str = "text"
+def _plain(obj):
+    """JSON form of the library's value types; a dataclass becomes its
+    fields in declaration order, those that are None left out."""
+    if isinstance(obj, IntMatrix2):
+        return obj.rows()
+    if isinstance(obj, (QuadElem, QuadSurd, Fraction)):
+        return str(obj)
+    if isinstance(obj, Poly):
+        return [str(c) for c in obj.coeffs]
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if dataclasses.is_dataclass(obj):
+        return {
+            f.name: getattr(obj, f.name)
+            for f in dataclasses.fields(obj)
+            if getattr(obj, f.name) is not None
+        }
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
 
-    def __post_init__(self):
-        if self.precision_bits < 64:
-            raise DomainError("precision must be at least 64 bits")
-        if self.entry_bound < 1 or self.lag_bound < 1:
-            raise DomainError("search bounds must be >= 1")
-        if self.output not in ("text", "json"):
-            raise DomainError("output must be 'text' or 'json'")
+
+def to_json(doc) -> str:
+    """The one JSON encoder of every document the CLI writes."""
+    return json.dumps(doc, indent=2, default=_plain)
 
 
-def _emit(doc: dict, text_lines: Callable[[], list[str]], cfg: CliConfig) -> None:
+def _emit(doc, text_lines: Callable[[], list[str]], args) -> None:
     """Print doc as JSON, or the lines text_lines() builds; they are built
     only for text output."""
-    if cfg.output == "json":
-        print(json.dumps(doc, indent=2))
+    if args.output == "json":
+        print(to_json(doc))
     else:
         for line in text_lines():
             print(line)
 
 
 def _functor_text(out) -> list[str]:
-    return [
-        f"D: {out.D}",
-        f"epsilon: {out.epsilon}",
-        f"A: {out.A}",
-        f"theta_prime: {out.theta_prime}",
-        f"cf: {out.cf}",
-        f"T: {out.T}",
-        f"zeta: {out.zeta}",
-        f"K0: {out.K0}",
-    ]
+    return [f"{f.name}: {getattr(out, f.name)}" for f in dataclasses.fields(out)]
 
 
-def cmd_functor(args, cfg: CliConfig) -> int:
+def cmd_functor(args) -> int:
     eps = QuadElem.parse(args.eps)
     if args.curve is not None:
         E = EllipticCurve.parse(args.curve, cm_D=args.D)
         out = apply_functor(E, eps)
     else:
         out = functor_invariants(args.D, eps)
-    _emit(out.to_json_dict(), lambda: _functor_text(out), cfg)
+    _emit(out, lambda: _functor_text(out), args)
     return EXIT_OK
 
 
-def cmd_zeta(args, cfg: CliConfig) -> int:
+def cmd_zeta(args) -> int:
     A = SFTMatrix.parse(args.matrix)
     z = zeta_sft(A)
-    doc = {"matrix": [list(r) for r in A.rows], "zeta": z.to_json_dict()}
-    _emit(doc, lambda: [str(z)], cfg)
+    _emit({"matrix": A.rows, "zeta": z}, lambda: [str(z)], args)
     return EXIT_OK
 
 
@@ -95,9 +94,9 @@ def _map_from_args(args) -> RationalMap:
     raise ParseError("one of --map or --curve is required")
 
 
-def cmd_periodic(args, cfg: CliConfig) -> int:
+def cmd_periodic(args) -> int:
     phi = _map_from_args(args)
-    rep = periodic_points(phi, args.n, cfg.precision_bits)
+    rep = periodic_points(phi, args.n, args.precision)
 
     def lines():
         return [
@@ -110,14 +109,14 @@ def cmd_periodic(args, cfg: CliConfig) -> int:
             + "; ".join(f"{z.real:.12g}{z.imag:+.12g}i" for z in rep.finite_points),
         ]
 
-    _emit(rep.to_json_dict(), lines, cfg)
+    _emit(rep, lines, args)
     return EXIT_OK
 
 
-def cmd_shift_equiv(args, cfg: CliConfig) -> int:
+def cmd_shift_equiv(args) -> int:
     A = SFTMatrix.parse(args.A)
     B = SFTMatrix.parse(args.B)
-    res = shift_equivalent(A, B, cfg.entry_bound, cfg.lag_bound)
+    res = shift_equivalent(A, B, args.entry_bound, args.lag_bound)
 
     def lines():
         out = [f"status: {res.status}"]
@@ -132,22 +131,18 @@ def cmd_shift_equiv(args, cfg: CliConfig) -> int:
             out.append(f"witness: {res.witness}")
         return out
 
-    _emit(res.to_json_dict(), lines, cfg)
+    _emit(res, lines, args)
     return EXIT_OK
 
 
-def cmd_cfrac(args, cfg: CliConfig) -> int:
+def cmd_cfrac(args) -> int:
     surd = QuadSurd.parse(args.surd)
     cf = expand(surd)
-    doc = {
-        "surd": str(surd),
-        "cf": {"preperiod": list(cf.preperiod), "period": list(cf.period)},
-    }
-    _emit(doc, lambda: [str(cf)], cfg)
+    _emit({"surd": surd, "cf": cf}, lambda: [str(cf)], args)
     return EXIT_OK
 
 
-def cmd_compare(args, cfg: CliConfig) -> int:
+def cmd_compare(args) -> int:
     eps = QuadElem.parse(args.eps)
     E = EllipticCurve.parse(args.curve, cm_D=args.D)
     rows = comparison_report(E, eps, args.n)
@@ -155,10 +150,10 @@ def cmd_compare(args, cfg: CliConfig) -> int:
     doc = {
         "curve": str(E),
         "D": args.D,
-        "epsilon": str(eps),
+        "epsilon": eps,
         "map_degree": phi.degree,
-        "epsilon_norm": str(eps.norm()),
-        "rows": [r.to_json_dict() for r in rows],
+        "epsilon_norm": eps.norm(),
+        "rows": rows,
     }
 
     def lines():
@@ -174,7 +169,7 @@ def cmd_compare(args, cfg: CliConfig) -> int:
             for r in rows
         ]
 
-    _emit(doc, lines, cfg)
+    _emit(doc, lines, args)
     return EXIT_OK
 
 
@@ -206,7 +201,7 @@ def _verify_checks() -> list[tuple[str, str, str]]:
     return checks
 
 
-def cmd_verify(args, cfg: CliConfig) -> int:
+def cmd_verify(args) -> int:
     checks = _verify_checks()
     mismatches = [(n, e, g) for n, e, g in checks if e != g]
     doc = {
@@ -224,7 +219,7 @@ def cmd_verify(args, cfg: CliConfig) -> int:
         out.append("verify: " + ("OK" if not mismatches else "MISMATCH"))
         return out
 
-    _emit(doc, lines, cfg)
+    _emit(doc, lines, args)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
@@ -243,10 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=128,
-        help=(
-            "root-location precision of 'periodic' in bits (>= 64); "
-            "env LATTES_PRECISION overrides"
-        ),
+        help="root-location precision of 'periodic' in bits (>= 64)",
     )
     parser.add_argument(
         "--entry-bound", type=int, default=10, help="entry bound for searches"
@@ -301,24 +293,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    precision = args.precision
-    env = os.environ.get("LATTES_PRECISION")
-    if env is not None:
-        try:
-            precision = int(env)
-        except ValueError:
-            print(f"error: bad LATTES_PRECISION value {env!r}", file=sys.stderr)
-            return EXIT_USAGE
-
-    try:
-        cfg = CliConfig(
-            precision_bits=precision,
-            entry_bound=args.entry_bound,
-            lag_bound=args.lag_bound,
-            output=args.output,
-        )
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.precision < 64:
+        print("error: precision must be at least 64 bits", file=sys.stderr)
+        return EXIT_USAGE
+    if args.entry_bound < 1 or args.lag_bound < 1:
+        print("error: search bounds must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
     # Exact results such as long period matrices pass the interpreter's
@@ -328,7 +307,7 @@ def main(argv=None) -> int:
         digit_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -106,16 +106,6 @@ class PeriodicReport:
         if self.count_distinct > self.count_with_multiplicity:
             raise DomainError("distinct count cannot exceed the total")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "degree": self.degree,
-            "count_with_multiplicity": self.count_with_multiplicity,
-            "count_distinct": self.count_distinct,
-            "finite_points": [[z.real, z.imag] for z in self.finite_points],
-            "infinity_fixed": self.infinity_fixed,
-        }
-
 
 def _initial_points(coeffs, deg):
     """Starting points on circles whose radii come from the upper convex

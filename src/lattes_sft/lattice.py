@@ -56,13 +56,6 @@ class SublatticeData:
             raise DomainError("index must equal |det(basis_matrix)|")
 
 
-def cm_to_rm(D: int) -> int:
-    """Discriminant transfer from the imaginary to the real quadratic side."""
-    if D <= 1:
-        raise DomainError("D must be an integer > 1")
-    return D
-
-
 def hnf2(M: IntMatrix2) -> IntMatrix2:
     """Column Hermite form [[a, b], [0, c]] with a, c > 0 and 0 <= b < a."""
     if M.det() == 0:

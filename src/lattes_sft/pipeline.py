@@ -27,7 +27,7 @@ from .dynsys import periodic_count
 from .errors import DomainError
 from .exactnum import QuadElem, companion_matrix
 from .lattes import EllipticCurve, duplication_map
-from .lattice import PseudoLattice, cm_to_rm, scale_lattice
+from .lattice import PseudoLattice, scale_lattice
 from .sft import (
     AbelianGroupInvariant,
     SEResult,
@@ -54,24 +54,15 @@ class FunctorOutput:
     zeta: ZetaRational
     K0: AbelianGroupInvariant
 
-    def to_json_dict(self) -> dict:
-        return {
-            "D": self.D,
-            "epsilon": str(self.epsilon),
-            "A": [list(r) for r in self.A.rows()],
-            "theta_prime": str(self.theta_prime),
-            "cf": {"preperiod": list(self.cf.preperiod), "period": list(self.cf.period)},
-            "T": [list(r) for r in self.T.rows()],
-            "zeta": self.zeta.to_json_dict(),
-            "K0": self.K0.to_json_dict(),
-        }
-
 
 def _check_field(D: int, eps: QuadElem) -> None:
-    if square_part(D)[1] != eps.D:
+    if D <= 1:
+        raise DomainError("D must be an integer > 1")
+    kernel = square_part(D)[1]
+    if kernel != eps.D:
         raise DomainError(
             f"epsilon lies in Q(sqrt({eps.D})) but D = {D} has square-free part "
-            f"{square_part(D)[1]}"
+            f"{kernel}"
         )
 
 
@@ -94,10 +85,8 @@ def _check_period_matrix(T: IntMatrix2, cf: ContinuedFraction, x: QuadSurd) -> N
 
 
 def functor_invariants(D: int, eps: QuadElem) -> FunctorOutput:
-    """Chain: discriminant transfer, companion matrix, lattice rescaling,
-    continued fraction, period matrix (checked against the periodic tail),
-    zeta function, K0."""
-    D = cm_to_rm(D)
+    """Chain: companion matrix, lattice rescaling, continued fraction,
+    period matrix (checked against the periodic tail), zeta function, K0."""
     _check_field(D, eps)
     A = companion_matrix(eps)
     sub = scale_lattice(PseudoLattice.from_sqrt(D), eps)
@@ -131,12 +120,6 @@ class ConjugacyVerdict:
     shift_equivalence: SEResult
     gl2_similarity: SimilarityResult
 
-    def to_json_dict(self) -> dict:
-        return {
-            "shift_equivalence": self.shift_equivalence.to_json_dict(),
-            "gl2_similarity": self.gl2_similarity.to_json_dict(),
-        }
-
 
 def conjugacy_test(
     out1: FunctorOutput,
@@ -163,14 +146,6 @@ class ComparisonRow:
     trace_count: int
     distinct_count: int
     multiplicity_count: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trace_count": self.trace_count,
-            "distinct_count": self.distinct_count,
-            "multiplicity_count": self.multiplicity_count,
-        }
 
 
 def comparison_report(E: EllipticCurve, eps: QuadElem, n_max: int) -> list[ComparisonRow]:

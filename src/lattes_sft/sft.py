@@ -57,7 +57,7 @@ class SFTMatrix:
 
     @classmethod
     def from_intmatrix2(cls, M: IntMatrix2) -> "SFTMatrix":
-        if not M.is_nonnegative():
+        if min(M.entries()) < 0:
             raise DomainError(
                 f"matrix {M} has negative entries and defines no edge shift"
             )
@@ -156,12 +156,6 @@ class ZetaRational:
             return n
         return f"{n}/({self.den.pretty('t')})"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "num": [str(c) for c in self.num.coeffs],
-            "den": [str(c) for c in self.den.coeffs],
-        }
-
 
 @dataclass(frozen=True)
 class AbelianGroupInvariant:
@@ -196,22 +190,12 @@ class AbelianGroupInvariant:
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
         return " x ".join(parts)
 
-    def to_json_dict(self) -> dict:
-        return {"rank": self.rank, "torsion": list(self.torsion)}
-
 
 @dataclass(frozen=True)
 class KInvariants:
     K0: AbelianGroupInvariant
     K1_rank: int
     bowen_franks: AbelianGroupInvariant
-
-    def to_json_dict(self) -> dict:
-        return {
-            "K0": self.K0.to_json_dict(),
-            "K1_rank": self.K1_rank,
-            "BowenFranks": self.bowen_franks.to_json_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -244,13 +228,6 @@ class SECertificate:
             raise DomainError("certificate fails the shift-equivalence equations")
         return cert
 
-    def to_json_dict(self) -> dict:
-        return {
-            "R": [list(r) for r in self.R],
-            "S": [list(r) for r in self.S],
-            "k": self.k,
-        }
-
 
 @dataclass(frozen=True)
 class SEResult:
@@ -258,28 +235,12 @@ class SEResult:
     certificate: SECertificate | None = None
     witness: str | None = None
 
-    def to_json_dict(self) -> dict:
-        doc: dict = {"status": self.status}
-        if self.certificate is not None:
-            doc["certificate"] = self.certificate.to_json_dict()
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        return doc
-
 
 @dataclass(frozen=True)
 class SimilarityResult:
     status: str  # "similar" | "not_similar" | "unknown"
     T: IntMatrix2 | None = None
     witness: str | None = None
-
-    def to_json_dict(self) -> dict:
-        doc: dict = {"status": self.status}
-        if self.T is not None:
-            doc["T"] = [list(r) for r in self.T.rows()]
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        return doc
 
 
 def per_count_trace(A: SFTMatrix, n: int) -> int:

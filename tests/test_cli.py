@@ -243,6 +243,14 @@ class TestCompare:
         assert "n\ttrace_count\tdistinct_count\tmultiplicity_count" in out
         assert "1\t0\t5\t5" in out
 
+    def test_D_at_most_1_exits_1(self, capsys):
+        rc, out, err = run(
+            capsys,
+            ["compare", "--curve", "4,2,0", "--D", "-2", "--eps", "0+1*sqrt(2)",
+             "-n", "1"],
+        )
+        assert (rc, out, err) == (1, "", "error: D must be an integer > 1\n")
+
 
 class TestConfig:
     def test_low_precision_rejected(self, capsys):
@@ -252,21 +260,6 @@ class TestConfig:
 
     def test_bad_bounds_rejected(self, capsys):
         rc, _, _ = run(capsys, ["--entry-bound", "0", "verify"])
-        assert rc == 2
-
-    def test_env_overrides_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("LATTES_PRECISION", "32")
-        rc, _, err = run(capsys, ["--precision", "128", "verify"])
-        assert rc == 2  # env wins, and 32 bits is below the floor
-
-    def test_env_valid(self, capsys, monkeypatch):
-        monkeypatch.setenv("LATTES_PRECISION", "256")
-        rc, _, _ = run(capsys, ["verify"])
-        assert rc == 0
-
-    def test_env_garbage(self, capsys, monkeypatch):
-        monkeypatch.setenv("LATTES_PRECISION", "lots")
-        rc, _, err = run(capsys, ["verify"])
         assert rc == 2
 
 

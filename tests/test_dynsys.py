@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from lattes_sft import (
     zeta_from_counts,
     zeta_sft,
 )
+from lattes_sft import cli
 
 
 def P(*coeffs):
@@ -182,7 +184,7 @@ class TestPeriodicPoints:
             periodic_points(Z2, 0)
 
     def test_json_shape(self):
-        doc = periodic_points(Z2, 1).to_json_dict()
+        doc = json.loads(cli.to_json(periodic_points(Z2, 1)))
         assert set(doc) == {
             "n", "degree", "count_with_multiplicity", "count_distinct",
             "finite_points", "infinity_fixed",

@@ -10,7 +10,6 @@ from lattes_sft import (
     PseudoLattice,
     QuadElem,
     QuadSurd,
-    cm_to_rm,
     hnf2,
     scale_lattice,
     stationary_matrix,
@@ -19,15 +18,6 @@ from lattes_sft.cfrac import square_part
 from oracles import hnf_oracle, random_unimodular
 
 SQF = [2, 3, 5, 7, 10, 13]
-
-
-def test_cm_to_rm():
-    assert cm_to_rm(2) == 2
-    assert cm_to_rm(3) == 3
-    assert cm_to_rm(5) == 5
-    for bad in (1, 0, -4):
-        with pytest.raises(DomainError):
-            cm_to_rm(bad)
 
 
 class TestScaleLattice:

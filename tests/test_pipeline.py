@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -26,6 +27,7 @@ from lattes_sft import (
     scale_lattice,
     zeta_sft,
 )
+from lattes_sft import cli
 from lattes_sft.lattice import PseudoLattice
 from oracles import expand_seen, period_matrix_fold
 
@@ -71,6 +73,13 @@ class TestFunctor:
     def test_curve_needs_annotation(self):
         with pytest.raises(DomainError, match="CM"):
             apply_functor(EllipticCurve(4, 2, 0), SQRT2)
+
+    @pytest.mark.parametrize("D", [1, 0, -4])
+    def test_D_at_most_1_rejected(self, D):
+        with pytest.raises(DomainError, match="D must be an integer > 1"):
+            functor_invariants(D, SQRT2)
+        with pytest.raises(DomainError, match="D must be an integer > 1"):
+            comparison_report(EllipticCurve(4, 2, 0, cm_D=D), SQRT2, 1)
 
     def test_field_mismatch(self):
         with pytest.raises(DomainError):
@@ -131,7 +140,7 @@ class TestFunctor:
             (lambda T: IntMatrix2(T.a + 1, T.b, T.c, T.d), "determinant"),
             # same determinant, but no longer fixes the tail
             (lambda T: T * IntMatrix2(1, 1, 0, 1), "fix"),
-            (lambda T: T.transpose(), "fix"),
+            (lambda T: IntMatrix2(T.a, T.c, T.b, T.d), "fix"),  # transpose
         ],
     )
     def test_period_matrix_checked(self, monkeypatch, perturb, message):
@@ -142,7 +151,7 @@ class TestFunctor:
             functor_invariants(7, QuadElem(2, 1, 7))
 
     def test_json_field_names(self):
-        doc = apply_functor(CURVE, SQRT2).to_json_dict()
+        doc = json.loads(cli.to_json(apply_functor(CURVE, SQRT2)))
         assert list(doc) == [
             "D", "epsilon", "A", "theta_prime", "cf", "T", "zeta", "K0",
         ]
@@ -172,6 +181,20 @@ class TestConjugacyTest:
                 == conjugacy_test(b, a).shift_equivalence.status
             )
 
+    def test_json_encoding(self):
+        out = apply_functor(CURVE, SQRT2)
+        doc = json.loads(cli.to_json(conjugacy_test(out, out)))
+        assert doc["shift_equivalence"] == {
+            "status": "equivalent",
+            "certificate": {"R": [[1, 0], [0, 1]], "S": [[0, 1], [2, 0]], "k": 1},
+        }
+        assert list(doc["gl2_similarity"]) == ["status", "T"]
+        assert json.loads(cli.to_json(k_invariants(SFTMatrix(((0, 1), (5, 0)))))) == {
+            "K0": {"rank": 0, "torsion": [4]},
+            "K1_rank": 0,
+            "bowen_franks": {"rank": 0, "torsion": [4]},
+        }
+
     def test_conjugated_matrix_is_equivalent(self):
         import dataclasses
 
@@ -185,7 +208,7 @@ class TestConjugacyTest:
 class TestComparisonReport:
     def test_worked_example_table(self):
         rows = comparison_report(CURVE, SQRT2, 3)
-        assert [r.to_json_dict() for r in rows] == [
+        assert json.loads(cli.to_json(rows)) == [
             {"n": 1, "trace_count": 0, "distinct_count": 5, "multiplicity_count": 5},
             {"n": 2, "trace_count": 4, "distinct_count": 17, "multiplicity_count": 17},
             {"n": 3, "trace_count": 0, "distinct_count": 65, "multiplicity_count": 65},
