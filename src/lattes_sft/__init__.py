@@ -9,14 +9,7 @@ its K-theory type.  Every step is exact; floats appear only in point-doubling
 oracles and root location, never in a count or an invariant.
 """
 
-from .cfrac import (
-    ContinuedFraction,
-    IntMatrix2,
-    QuadSurd,
-    convergents,
-    expand,
-    period_matrix,
-)
+from .cfrac import ContinuedFraction, QuadSurd, convergents, expand, period_matrix
 from .dynsys import (
     Mobius,
     PeriodicCount,
@@ -31,6 +24,7 @@ from .dynsys import (
 )
 from .errors import BudgetExceededError, DomainError, ParseError
 from .exactnum import Poly, QuadElem, Rational, companion_matrix, norm_trace
+from .intlinalg import IntMatrix2
 from .lattes import EllipticCurve, RationalMap, double_point, duplication_map, lift_y
 from .lattice import (
     PseudoLattice,

@@ -13,9 +13,8 @@ cycle, with no table of visited states.  The period matrix is a balanced
 product, so its few large products run at the interpreter's fast
 (Karatsuba) multiplication instead of a quadratic left-to-right fold.
 
-Work is bounded: ``square_part`` trial-divides only up to
-``TRIAL_DIVISION_BOUND`` and ``expand`` computes at most ``EXPAND_BUDGET``
-partial quotients in each of its two phases; past either bound they raise
+Work is bounded: ``expand`` computes at most ``EXPAND_BUDGET`` partial
+quotients in each of its two phases; past that bound it raises
 ``BudgetExceededError``.
 """
 
@@ -27,10 +26,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import BudgetExceededError, DomainError, ParseError
-
-# Largest trial divisor of square_part; a cofactor left below its cube has
-# at most two prime factors and is split exactly.
-TRIAL_DIVISION_BOUND = 2**20
+from .intlinalg import IntMatrix2, is_square, square_part
 
 # Most partial quotients expand computes for the preperiod, and again for
 # the period, before it gives up.
@@ -39,98 +35,6 @@ EXPAND_BUDGET = 10**6
 # Partial quotients folded by plain recurrence into one leaf matrix of the
 # balanced product in period_matrix.
 _PERIOD_CHUNK = 32
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
-
-
-def square_part(n: int) -> tuple[int, int]:
-    """Split n > 0 as m*m * kernel with kernel square-free; returns (m, kernel).
-
-    Trial division stops at TRIAL_DIVISION_BOUND = B.  Every prime factor of
-    what is left then exceeds B, so a cofactor below B**3 is 1, a prime, a
-    prime square or a product of two distinct primes; a larger one raises
-    BudgetExceededError."""
-    m = 1
-    kernel = 1
-    rest = n
-    p = 2
-    limit = min(isqrt(rest), TRIAL_DIVISION_BOUND)
-    while p <= limit:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            m *= p ** (e // 2)
-            if e % 2:
-                kernel *= p
-            limit = min(isqrt(rest), TRIAL_DIVISION_BOUND)
-        p += 1 if p == 2 else 2
-    if p * p <= rest:
-        # stopped at the bound, so every prime factor of rest exceeds it
-        if rest >= TRIAL_DIVISION_BOUND**3:
-            raise BudgetExceededError(
-                f"square_part({n}): the cofactor {rest} left by trial division "
-                f"up to {TRIAL_DIVISION_BOUND} is not below the bound's cube"
-            )
-        r = isqrt(rest)
-        if r * r == rest:
-            return m * r, kernel
-    if rest > 1:
-        kernel *= rest
-    return m, kernel
-
-
-def is_squarefree(n: int) -> bool:
-    return n > 0 and square_part(n)[0] == 1
-
-
-@dataclass(frozen=True)
-class IntMatrix2:
-    """2x2 integer matrix ((a, b), (c, d))."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @classmethod
-    def identity(cls) -> "IntMatrix2":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix2":
-        (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
-
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def __mul__(self, other: "IntMatrix2") -> "IntMatrix2":
-        return IntMatrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def trace(self) -> int:
-        return self.a + self.d
-
-    def __str__(self) -> str:
-        return f"{self.a},{self.b};{self.c},{self.d}"
-
 
 _SURD_RE = re.compile(
     r"^\(\s*(-?\d+)\s*\+\s*sqrt\(\s*(\d+)\s*\)\s*\)\s*/\s*(-?\d+)$"

@@ -14,10 +14,11 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 
-from .cfrac import ContinuedFraction, IntMatrix2, QuadSurd, expand
+from .cfrac import ContinuedFraction, QuadSurd, expand
 from .dynsys import periodic_points
 from .errors import DomainError, ParseError
 from .exactnum import Poly, QuadElem
+from .intlinalg import IntMatrix2
 from .lattes import EllipticCurve, RationalMap, duplication_map
 from .lattice import PseudoLattice, scale_lattice
 from .pipeline import apply_functor, comparison_report, functor_invariants

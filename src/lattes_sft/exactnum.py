@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cfrac import IntMatrix2, QuadSurd, is_squarefree, square_part
 from .errors import DomainError, ParseError
+from .intlinalg import IntMatrix2, is_squarefree
 
 Rational = Fraction
 
@@ -379,30 +379,9 @@ class QuadElem:
         return self.a == 0 and self.b == 0
 
     @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    @property
     def is_integral(self) -> bool:
         """Membership in Z[sqrt(D)]; half-integer elements are not admitted."""
         return self.a.denominator == 1 and self.b.denominator == 1
-
-    def to_surd(self) -> QuadSurd:
-        if self.b == 0:
-            raise DomainError("rational element has no surd form")
-        an, ad = self.a.numerator, self.a.denominator
-        bn, bd = self.b.numerator, self.b.denominator
-        P = an * bd
-        Q = ad * bd
-        m = bn * ad
-        if m < 0:
-            P, Q = -P, -Q
-        return QuadSurd(P, Q, m * m * self.D)
-
-    @classmethod
-    def from_surd(cls, s: QuadSurd) -> "QuadElem":
-        m, kernel = square_part(s.D)
-        return cls(Fraction(s.P, s.Q), Fraction(m, s.Q), kernel)
 
     def __str__(self) -> str:
         sep = "-" if self.b < 0 else "+"

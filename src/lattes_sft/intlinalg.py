@@ -1,16 +1,116 @@
-"""Exact linear algebra over the integers.
+"""Exact integer arithmetic and linear algebra, below every module but errors.
 
-Matrices are tuples of row tuples.  Everything here is pure and exact:
-products, characteristic polynomials, Smith normal form with unimodular
-transforms, and bounded enumeration of the integer solution lattice of a
-Sylvester constraint A X = X B.
+Square tests and square-free parts by bounded trial division, the 2x2
+matrix type ``IntMatrix2``, and general matrices as tuples of row tuples.
+Everything here is pure and exact: products, characteristic polynomials,
+Smith normal form with unimodular transforms, and bounded enumeration of
+the integer solution lattice of a Sylvester constraint A X = X B.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+
+from .errors import BudgetExceededError
 
 Rows = tuple[tuple[int, ...], ...]
+
+# Largest trial divisor of square_part; a cofactor left below its cube has
+# at most two prime factors and is split exactly.
+TRIAL_DIVISION_BOUND = 2**20
+
+
+def is_square(n: int) -> bool:
+    if n < 0:
+        return False
+    r = isqrt(n)
+    return r * r == n
+
+
+def square_part(n: int) -> tuple[int, int]:
+    """Split n > 0 as m*m * kernel with kernel square-free; returns (m, kernel).
+
+    Trial division stops at TRIAL_DIVISION_BOUND = B.  Every prime factor of
+    what is left then exceeds B, so a cofactor below B**3 is 1, a prime, a
+    prime square or a product of two distinct primes; a larger one raises
+    BudgetExceededError."""
+    m = 1
+    kernel = 1
+    rest = n
+    p = 2
+    limit = min(isqrt(rest), TRIAL_DIVISION_BOUND)
+    while p <= limit:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            m *= p ** (e // 2)
+            if e % 2:
+                kernel *= p
+            limit = min(isqrt(rest), TRIAL_DIVISION_BOUND)
+        p += 1 if p == 2 else 2
+    if p * p <= rest:
+        # stopped at the bound, so every prime factor of rest exceeds it
+        if rest >= TRIAL_DIVISION_BOUND**3:
+            raise BudgetExceededError(
+                f"square_part({n}): the cofactor {rest} left by trial division "
+                f"up to {TRIAL_DIVISION_BOUND} is not below the bound's cube"
+            )
+        r = isqrt(rest)
+        if r * r == rest:
+            return m * r, kernel
+    if rest > 1:
+        kernel *= rest
+    return m, kernel
+
+
+def is_squarefree(n: int) -> bool:
+    return n > 0 and square_part(n)[0] == 1
+
+
+@dataclass(frozen=True)
+class IntMatrix2:
+    """2x2 integer matrix ((a, b), (c, d))."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+
+    @classmethod
+    def identity(cls) -> "IntMatrix2":
+        return cls(1, 0, 0, 1)
+
+    @classmethod
+    def from_rows(cls, rows) -> "IntMatrix2":
+        (a, b), (c, d) = rows
+        return cls(int(a), int(b), int(c), int(d))
+
+    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return ((self.a, self.b), (self.c, self.d))
+
+    def entries(self) -> tuple[int, int, int, int]:
+        return (self.a, self.b, self.c, self.d)
+
+    def __mul__(self, other: "IntMatrix2") -> "IntMatrix2":
+        return IntMatrix2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def det(self) -> int:
+        return self.a * self.d - self.b * self.c
+
+    def trace(self) -> int:
+        return self.a + self.d
+
+    def __str__(self) -> str:
+        return f"{self.a},{self.b};{self.c},{self.d}"
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -4,17 +4,28 @@ Rescaling by an integral field element eps produces the sublattice
 eps*(Z + Z*theta); its column Hermite form [[a, b], [0, c]] in the basis
 (1, theta) yields the index a*c and the normalized generator
 theta' = (b + c*theta)/a, so eps*L = a*(Z + Z*theta').
+
+The matrix of eps in the basis (1, theta) is computed on integers.  With
+theta = (P + sqrt(Dt))/Q, Q | Dt - P*P, eps = a + b*sqrt(d) and d
+square-free, theta lies in Q(sqrt(d)) exactly when d | Dt and Dt/d is a
+square m*m.  Then, with N = (Dt - P*P)/Q,
+
+    eps       = (a - b*P/m) + (b*Q/m)*theta
+    eps*theta = (b*N/m) + (a + b*P/m)*theta
+
+so eps maps L into itself exactly when m divides b*P, b*Q and b*N.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isqrt
 
-from .cfrac import IntMatrix2, QuadSurd, expand, period_matrix
+from .cfrac import QuadSurd, expand, period_matrix
 from .errors import DomainError, ParseError
 from .exactnum import QuadElem
-from .intlinalg import xgcd
+from .intlinalg import IntMatrix2, is_square, square_part, xgcd
 
 
 @dataclass(frozen=True)
@@ -30,9 +41,6 @@ class PseudoLattice:
     @classmethod
     def from_sqrt(cls, D: int) -> "PseudoLattice":
         return cls(QuadSurd(0, 1, D))
-
-    def theta_elem(self) -> QuadElem:
-        return QuadElem.from_surd(self.theta)
 
     def __str__(self) -> str:
         return f"Z+Z*{self.theta}"
@@ -60,19 +68,10 @@ def hnf2(M: IntMatrix2) -> IntMatrix2:
     """Column Hermite form [[a, b], [0, c]] with a, c > 0 and 0 <= b < a."""
     if M.det() == 0:
         raise DomainError("sublattice matrix must be nonsingular")
-    u1, u2 = M.a, M.b
-    v1, v2 = M.c, M.d
-    g, x, y = xgcd(v1, v2)
-    if g == 0:
-        a, b, c = u1, u2, 0  # unreachable for nonsingular M
-    else:
-        a = (v2 // g) * u1 - (v1 // g) * u2
-        b = x * u1 + y * u2
-        c = g
-    if a < 0:
-        a = -a
-    b %= a
-    return IntMatrix2(a, b, 0, c)
+    # a nonsingular M has (c, d) != (0, 0), so g > 0
+    g, x, y = xgcd(M.c, M.d)
+    a = abs((M.d // g) * M.a - (M.c // g) * M.b)
+    return IntMatrix2(a, (x * M.a + y * M.b) % a, 0, g)
 
 
 def _affine_surd(t: QuadSurd, add: int, mul: int, div: int) -> QuadSurd:
@@ -82,26 +81,22 @@ def _affine_surd(t: QuadSurd, add: int, mul: int, div: int) -> QuadSurd:
 
 def scale_lattice(L: PseudoLattice, eps: QuadElem) -> SublatticeData:
     """Hermite-normalized description of the sublattice eps*L of L."""
-    theta = L.theta_elem()
-    if eps.D != theta.D:
+    P, Q, Dt = L.theta.P, L.theta.Q, L.theta.D
+    d = eps.D
+    if Dt % d or not is_square(Dt // d):
         raise DomainError(
-            f"epsilon lies in Q(sqrt({eps.D})), the lattice in Q(sqrt({theta.D}))"
+            f"epsilon lies in Q(sqrt({d})), the lattice in Q(sqrt({square_part(Dt)[1]}))"
         )
     if not eps.is_integral:
         raise DomainError("epsilon must be integral: integer a and b")
     if eps.is_zero:
         raise DomainError("epsilon must be nonzero")
-
-    def coords(xi: QuadElem) -> tuple[int, int]:
-        v = xi.b / theta.b
-        u = xi.a - v * theta.a
-        if u.denominator != 1 or v.denominator != 1:
-            raise DomainError("not an endomorphism of this pseudo-lattice")
-        return int(u), int(v)
-
-    u1, v1 = coords(eps)
-    u2, v2 = coords(eps * theta)
-    M = IntMatrix2(u1, u2, v1, v2)
+    a, b = int(eps.a), int(eps.b)
+    m = isqrt(Dt // d)
+    bP, bQ, bN = b * P, b * Q, b * ((Dt - P * P) // Q)
+    if bP % m or bQ % m or bN % m:
+        raise DomainError("not an endomorphism of this pseudo-lattice")
+    M = IntMatrix2(a - bP // m, bN // m, bQ // m, a + bP // m)
     H = hnf2(M)
     theta_p = _affine_surd(L.theta, H.b, H.d, H.a)
     return SublatticeData(H, abs(M.det()), PseudoLattice(theta_p))

@@ -14,18 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfrac import (
-    ContinuedFraction,
-    IntMatrix2,
-    QuadSurd,
-    expand,
-    period_matrix,
-    square_part,
-    surd_step,
-)
+from .cfrac import ContinuedFraction, QuadSurd, expand, period_matrix, surd_step
 from .dynsys import periodic_count
 from .errors import DomainError
 from .exactnum import QuadElem, companion_matrix
+from .intlinalg import IntMatrix2, is_square, square_part
 from .lattes import EllipticCurve, duplication_map
 from .lattice import PseudoLattice, scale_lattice
 from .sft import (
@@ -56,13 +49,14 @@ class FunctorOutput:
 
 
 def _check_field(D: int, eps: QuadElem) -> None:
+    """eps.D is square-free, so D lies in its field exactly when D / eps.D
+    is a square; D is factored only to word the error."""
     if D <= 1:
         raise DomainError("D must be an integer > 1")
-    kernel = square_part(D)[1]
-    if kernel != eps.D:
+    if D % eps.D or not is_square(D // eps.D):
         raise DomainError(
             f"epsilon lies in Q(sqrt({eps.D})) but D = {D} has square-free part "
-            f"{kernel}"
+            f"{square_part(D)[1]}"
         )
 
 

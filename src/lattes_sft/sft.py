@@ -16,12 +16,13 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
-from .cfrac import IntMatrix2, is_square
 from .errors import BudgetExceededError, DomainError, ParseError
 from .exactnum import Poly
 from .intlinalg import (
+    IntMatrix2,
     charpoly,
     identity,
+    is_square,
     mat_mul,
     mat_pow,
     mat_sub,

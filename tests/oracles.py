@@ -49,6 +49,44 @@ def period_matrix_fold(period) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
+def scale_lattice_fraction(L, eps):
+    """Reference scale_lattice by arithmetic in Q(sqrt(d)): theta becomes
+    the field element P/Q + (m/Q)*sqrt(kernel), and the coordinates of eps
+    and eps*theta in the basis (1, theta) are solved for in Fractions."""
+    from fractions import Fraction
+
+    from lattes_sft import (
+        DomainError, IntMatrix2, PseudoLattice, QuadElem, QuadSurd, SublatticeData, hnf2,
+    )
+    from lattes_sft.intlinalg import square_part
+
+    m, kernel = square_part(L.theta.D)
+    theta = QuadElem(Fraction(L.theta.P, L.theta.Q), Fraction(m, L.theta.Q), kernel)
+    if eps.D != theta.D:
+        raise DomainError(
+            f"epsilon lies in Q(sqrt({eps.D})), the lattice in Q(sqrt({theta.D}))"
+        )
+    if not eps.is_integral:
+        raise DomainError("epsilon must be integral: integer a and b")
+    if eps.is_zero:
+        raise DomainError("epsilon must be nonzero")
+
+    def coords(xi):
+        v = xi.b / theta.b
+        u = xi.a - v * theta.a
+        if u.denominator != 1 or v.denominator != 1:
+            raise DomainError("not an endomorphism of this pseudo-lattice")
+        return int(u), int(v)
+
+    u1, v1 = coords(eps)
+    u2, v2 = coords(eps * theta)
+    M = IntMatrix2(u1, u2, v1, v2)
+    H = hnf2(M)
+    t = L.theta
+    theta_p = QuadSurd(H.d * t.P + H.b * t.Q, t.Q * H.a, H.d * H.d * t.D)
+    return SublatticeData(H, abs(M.det()), PseudoLattice(theta_p))
+
+
 def hnf_oracle(u1: int, v1: int, u2: int, v2: int, window: int = 60):
     """Brute-force column Hermite data (a, b, c) of the lattice spanned by
     (u1, v1) and (u2, v2): a = least positive x with (x, 0) in the lattice,

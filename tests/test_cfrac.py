@@ -18,7 +18,7 @@ from lattes_sft import (
     expand,
     period_matrix,
 )
-from lattes_sft import cfrac
+from lattes_sft import cfrac, intlinalg
 from oracles import cf_float, expand_seen, period_matrix_fold
 
 
@@ -197,7 +197,7 @@ class TestSquarePart:
     def test_small_bound_is_exact_or_raises(self, monkeypatch):
         from sympy import factorint
 
-        monkeypatch.setattr(cfrac, "TRIAL_DIVISION_BOUND", 30)
+        monkeypatch.setattr(intlinalg, "TRIAL_DIVISION_BOUND", 30)
         rng = random.Random(43)
         raised = 0
         for n in [rng.randint(1, 10**6) for _ in range(2000)] + [37 * 37 * 6, 31 * 37 * 8]:

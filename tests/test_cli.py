@@ -98,6 +98,22 @@ class TestFunctor:
         if has_limit:
             assert sys.get_int_max_str_digits() == before
 
+    def test_square_factor_past_trial_division_bound(self, capsys):
+        # D = k*k * 2 with k = 2^31 - 1 prime: trial division up to 2^20
+        # cannot split D, and D lies in Q(sqrt(2)) with no splitting.  The
+        # period of theta' is long, so this takes seconds.
+        rc, out, err = run(
+            capsys,
+            ["functor", "--D", "9223372028264841218", "--eps", "0+2147483647*sqrt(2)"],
+        )
+        assert (rc, err) == (0, "")
+        assert out.startswith(
+            "D: 9223372028264841218\n"
+            "epsilon: 0+2147483647*sqrt(2)\n"
+            "A: 0,1;9223372028264841218,0\n"
+            "theta_prime: (0+sqrt(9223372028264841218))/9223372028264841218\n"
+        )
+
     def test_expansion_budget_exits_1(self, capsys):
         # D = 10^18 + 3 is prime; its square part is decided at the
         # trial-division bound, and the period of theta' exceeds the budget

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattes_sft import (
     DomainError,
@@ -15,9 +17,41 @@ from lattes_sft import (
     stationary_matrix,
 )
 from lattes_sft.cfrac import square_part
-from oracles import hnf_oracle, random_unimodular
+from oracles import hnf_oracle, random_unimodular, scale_lattice_fraction
 
 SQF = [2, 3, 5, 7, 10, 13]
+SQF_60 = [d for d in range(2, 61) if square_part(d)[0] == 1]
+
+
+@st.composite
+def lattice_and_eps(draw):
+    """Z + Z*theta with theta = (P + sqrt(k*k*d))/Q, P of either sign, Q of
+    either sign and often not dividing D - P*P (QuadSurd then rescales), and
+    eps integral, non-integral, zero, an endomorphism, or from another field."""
+    d = draw(st.sampled_from(SQF_60))
+    k = draw(st.integers(1, 12))
+    t = QuadSurd(draw(st.integers(-30, 30)), draw(st.integers(-12, 12).filter(bool)), k * k * d)
+    if not t.is_positive():
+        t = QuadSurd(t.P, -t.Q, t.D)  # -theta
+    kind = draw(st.sampled_from(["integral", "endomorphism", "non-integral", "zero", "other field"]))
+    a, b = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    if kind == "endomorphism":
+        b = isqrt(t.D // d) * draw(st.integers(-3, 3).filter(bool))
+    elif kind == "non-integral":
+        a = Fraction(a, draw(st.integers(2, 3)))
+    elif kind == "zero":
+        a = b = 0
+    elif kind == "other field":
+        d = draw(st.sampled_from([e for e in SQF_60 if e != d]))
+    return PseudoLattice(t), QuadElem(a, b, d)
+
+
+def _outcome(scale, L, eps):
+    try:
+        sub = scale(L, eps)
+    except DomainError as exc:
+        return "error", str(exc)
+    return sub.basis_matrix, sub.index, str(sub.normalized)
 
 
 class TestScaleLattice:
@@ -77,6 +111,12 @@ class TestScaleLattice:
             scale_lattice(L, QuadElem(Fraction(1, 2), 1, 2))  # not integral
         with pytest.raises(DomainError):
             scale_lattice(L, QuadElem(0, 0, 2))  # zero
+
+    @settings(max_examples=400)
+    @given(lattice_and_eps())
+    def test_matches_fraction_route(self, case):
+        L, eps = case
+        assert _outcome(scale_lattice, L, eps) == _outcome(scale_lattice_fraction, L, eps)
 
     def test_not_an_endomorphism(self):
         # sqrt(2) * 1 is not in Z + Z*(sqrt(2)/3)

@@ -156,6 +156,31 @@ class TestFunctor:
             "D", "epsilon", "A", "theta_prime", "cf", "T", "zeta", "K0",
         ]
 
+    def test_chains_factor_nothing(self, monkeypatch):
+        # eps.D is square-free, so D lies in its field exactly when D / eps.D
+        # is a square; square_part only words a field-mismatch error.  Each
+        # eps is built before the patch, since QuadElem checks its own D.
+        import sys
+
+        from lattes_sft.cfrac import square_part
+
+        cases = [(2, SQRT2), (8, QuadElem(1, 2, 2)), (45, QuadElem(2, 3, 5))]
+
+        def refuse(n):
+            raise AssertionError(f"square_part({n}) called")
+
+        patched = 0
+        for name, module in list(sys.modules.items()):
+            if name == "lattes_sft" or name.startswith("lattes_sft."):
+                for key, value in list(vars(module).items()):
+                    if value is square_part:
+                        monkeypatch.setattr(module, key, refuse)
+                        patched += 1
+        assert patched >= 3
+        for D, eps in cases:
+            functor_invariants(D, eps)
+        assert [r.distinct_count for r in comparison_report(CURVE, SQRT2, 2)] == [5, 17]
+
 
 class TestConjugacyTest:
     def test_identical(self):
