@@ -11,7 +11,6 @@ oracles and root location, never in a count or an invariant.
 
 from .cfrac import ContinuedFraction, QuadSurd, convergents, expand, period_matrix
 from .dynsys import (
-    Mobius,
     PeriodicCount,
     PeriodicReport,
     aberth_roots,
@@ -23,16 +22,10 @@ from .dynsys import (
     zeta_from_counts,
 )
 from .errors import BudgetExceededError, DomainError, ParseError
-from .exactnum import Poly, QuadElem, Rational, companion_matrix, norm_trace
+from .exactnum import Poly, QuadElem, Rational, companion_matrix
 from .intlinalg import IntMatrix2
 from .lattes import EllipticCurve, RationalMap, double_point, duplication_map, lift_y
-from .lattice import (
-    PseudoLattice,
-    SublatticeData,
-    hnf2,
-    scale_lattice,
-    stationary_matrix,
-)
+from .lattice import PseudoLattice, SublatticeData, hnf2, scale_lattice
 from .pipeline import (
     ComparisonRow,
     ConjugacyVerdict,
@@ -71,7 +64,6 @@ __all__ = [
     "FunctorOutput",
     "IntMatrix2",
     "KInvariants",
-    "Mobius",
     "ParseError",
     "PeriodicCount",
     "PeriodicReport",
@@ -104,7 +96,6 @@ __all__ = [
     "iterate",
     "k_invariants",
     "lift_y",
-    "norm_trace",
     "per_count_enumerate",
     "per_count_trace",
     "period_matrix",
@@ -112,7 +103,6 @@ __all__ = [
     "periodic_points",
     "scale_lattice",
     "shift_equivalent",
-    "stationary_matrix",
     "zeta_from_counts",
     "zeta_sft",
 ]

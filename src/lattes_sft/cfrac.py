@@ -23,10 +23,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import BudgetExceededError, DomainError, ParseError
-from .intlinalg import IntMatrix2, is_square, square_part
+# square_part stays importable from here, where callers and tests look it up.
+from .intlinalg import IntMatrix2, is_square, mat2_mul, square_part  # noqa: F401
 
 # Most partial quotients expand computes for the preperiod, and again for
 # the period, before it gives up.
@@ -61,18 +62,20 @@ class QuadSurd:
             object.__setattr__(self, "D", self.D * q * q)
             object.__setattr__(self, "Q", self.Q * q)
 
-    def _canonical(self) -> tuple[int, int, int, int]:
-        m, kernel = square_part(self.D)
-        g = gcd(gcd(abs(self.P), m), abs(self.Q))
-        return (self.P // g, m // g, kernel, self.Q // g)
-
     def __eq__(self, other) -> bool:
+        """Equal values: the value is P/Q + sign(Q)*sqrt(D/Q^2), and D/Q^2 is
+        not a rational square, so P/Q, D/Q^2 and the sign of Q fix it.
+        Compared by cross-multiplication, with nothing factored."""
         if not isinstance(other, QuadSurd):
             return NotImplemented
-        return self._canonical() == other._canonical()
+        return (
+            self.P * other.Q == other.P * self.Q
+            and self.D * other.Q * other.Q == other.D * self.Q * self.Q
+            and (self.Q > 0) == (other.Q > 0)
+        )
 
     def __hash__(self):
-        return hash(self._canonical())
+        return hash((Fraction(self.P, self.Q), Fraction(self.D, self.Q * self.Q), self.Q > 0))
 
     def floor(self) -> int:
         s = isqrt(self.D)
@@ -196,20 +199,13 @@ def expand(x: QuadSurd) -> ContinuedFraction:
     return ContinuedFraction(tuple(preperiod), tuple(period))
 
 
-def _mul4(
-    x: tuple[int, int, int, int], y: tuple[int, int, int, int]
-) -> tuple[int, int, int, int]:
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def period_matrix(cf: ContinuedFraction) -> IntMatrix2:
     """Product of ((a, 1), (1, 0)) over the period, in order.
 
     Each chunk of the period is folded by the convergent recurrence, whose
     matrix is ((p_k, p_{k-1}), (q_k, q_{k-1})); the chunk matrices are then
-    multiplied in a balanced tree, in order."""
+    multiplied in a balanced tree, in order, as entry 4-tuples, which cost
+    less per node than IntMatrix2 objects."""
     period = cf.period
     mats = []
     for i in range(0, len(period), _PERIOD_CHUNK):
@@ -219,7 +215,7 @@ def period_matrix(cf: ContinuedFraction) -> IntMatrix2:
             q, q1 = a * q + q1, q
         mats.append((p, p1, q, q1))
     while len(mats) > 1:
-        paired = [_mul4(mats[i], mats[i + 1]) for i in range(0, len(mats) - 1, 2)]
+        paired = [mat2_mul(mats[i], mats[i + 1]) for i in range(0, len(mats) - 1, 2)]
         if len(mats) % 2:
             paired.append(mats[-1])
         mats = paired

@@ -18,7 +18,7 @@ from .cfrac import ContinuedFraction, QuadSurd, expand
 from .dynsys import periodic_points
 from .errors import DomainError, ParseError
 from .exactnum import Poly, QuadElem
-from .intlinalg import IntMatrix2
+from .intlinalg import IntMatrix2, matrix_text
 from .lattes import EllipticCurve, RationalMap, duplication_map
 from .lattice import PseudoLattice, scale_lattice
 from .pipeline import apply_functor, comparison_report, functor_invariants
@@ -124,8 +124,8 @@ def cmd_shift_equiv(args) -> int:
         if res.certificate is not None:
             c = res.certificate
             out += [
-                f"R: {';'.join(','.join(map(str, r)) for r in c.R)}",
-                f"S: {';'.join(','.join(map(str, r)) for r in c.S)}",
+                f"R: {matrix_text(c.R)}",
+                f"S: {matrix_text(c.S)}",
                 f"k: {c.k}",
             ]
         if res.witness is not None:

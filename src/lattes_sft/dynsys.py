@@ -1,6 +1,10 @@
 """Exact dynamics of rational self-maps of the projective line: composition,
 Moebius conjugation, periodic-point counting, and truncated zeta series.
 
+A Moebius map z -> (a z + b)/(c z + d) is its integer matrix
+``IntMatrix2(a, b, c, d)``; composing maps is multiplying matrices, and a
+nonzero scalar multiple of the matrix is the same map.
+
 Counts are symbolic (degrees of exact polynomials) and come from
 ``periodic_count`` alone; the floating root finder runs only in
 ``periodic_points``, locates the finitely many distinct finite periodic
@@ -17,42 +21,8 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError
 from .exactnum import Poly
+from .intlinalg import IntMatrix2
 from .lattes import RationalMap
-
-
-@dataclass(frozen=True)
-class Mobius:
-    """z -> (a z + b)/(c z + d) with ad - bc != 0."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.a * self.d - self.b * self.c == 0:
-            raise DomainError("Moebius transformation must have ad - bc != 0")
-
-    @classmethod
-    def identity(cls) -> "Mobius":
-        return cls(1, 0, 0, 1)
-
-    def as_map(self) -> RationalMap:
-        return RationalMap(Poly((self.b, self.a)), Poly((self.d, self.c)))
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def after(self, other: "Mobius") -> "Mobius":
-        """Composite self o other (matrix product)."""
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
 
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:
@@ -86,9 +56,14 @@ def iterate(f: RationalMap, n: int) -> RationalMap:
     return out
 
 
-def conjugate(f: RationalMap, m: Mobius) -> RationalMap:
-    """The conjugate m^{-1} o f o m."""
-    return compose(m.inverse().as_map(), compose(f, m.as_map()))
+def conjugate(f: RationalMap, M: IntMatrix2) -> RationalMap:
+    """The conjugate m^{-1} o f o m by the Moebius map m with matrix M;
+    m^{-1} has the adjugate matrix ((d, -b), (-c, a))."""
+    if M.det() == 0:
+        raise DomainError("Moebius transformation must have ad - bc != 0")
+    m = RationalMap(Poly((M.b, M.a)), Poly((M.d, M.c)))
+    m_inv = RationalMap(Poly((-M.b, M.d)), Poly((M.a, -M.c)))
+    return compose(m_inv, compose(f, m))
 
 
 @dataclass(frozen=True)

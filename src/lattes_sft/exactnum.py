@@ -398,11 +398,6 @@ class QuadElem:
         return cls(Fraction(m.group(1)), b, int(m.group(4)))
 
 
-def norm_trace(x: QuadElem) -> tuple[Fraction, Fraction]:
-    """The pair (a^2 - D b^2, 2a)."""
-    return x.norm(), x.trace()
-
-
 def companion_matrix(eps: QuadElem) -> IntMatrix2:
     """Integer matrix ((0, 1), (-N, Tr)) of an integral irrational element."""
     if not eps.is_integral:

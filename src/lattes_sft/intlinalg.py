@@ -2,9 +2,13 @@
 
 Square tests and square-free parts by bounded trial division, the 2x2
 matrix type ``IntMatrix2``, and general matrices as tuples of row tuples.
-Everything here is pure and exact: products, characteristic polynomials,
-Smith normal form with unimodular transforms, and bounded enumeration of
-the integer solution lattice of a Sylvester constraint A X = X B.
+``IntMatrix2`` is every 2x2 integer matrix of the package, the Moebius
+maps of ``dynsys.conjugate`` included; its product ``mat2_mul`` also runs
+on the bare 4-tuples of ``cfrac.period_matrix``, and ``matrix_text`` is
+the one text form of a matrix.  Everything here is pure and exact:
+products, characteristic polynomials, Smith normal form with unimodular
+transforms, and bounded enumeration of the integer solution lattice of a
+Sylvester constraint A X = X B.
 """
 
 from __future__ import annotations
@@ -71,6 +75,21 @@ def is_squarefree(n: int) -> bool:
     return n > 0 and square_part(n)[0] == 1
 
 
+def matrix_text(rows) -> str:
+    """The text form of an integer matrix: rows by ';', entries by ','."""
+    return ";".join(",".join(map(str, r)) for r in rows)
+
+
+def mat2_mul(
+    x: tuple[int, int, int, int], y: tuple[int, int, int, int]
+) -> tuple[int, int, int, int]:
+    """Product of 2x2 matrices given by their entries (a, b, c, d) of
+    ((a, b), (c, d))."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 @dataclass(frozen=True)
 class IntMatrix2:
     """2x2 integer matrix ((a, b), (c, d))."""
@@ -96,12 +115,7 @@ class IntMatrix2:
         return (self.a, self.b, self.c, self.d)
 
     def __mul__(self, other: "IntMatrix2") -> "IntMatrix2":
-        return IntMatrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return IntMatrix2(*mat2_mul(self.entries(), other.entries()))
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -110,7 +124,7 @@ class IntMatrix2:
         return self.a + self.d
 
     def __str__(self) -> str:
-        return f"{self.a},{self.b};{self.c},{self.d}"
+        return matrix_text(self.rows())
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -13,7 +13,10 @@ square m*m.  Then, with N = (Dt - P*P)/Q,
     eps       = (a - b*P/m) + (b*Q/m)*theta
     eps*theta = (b*N/m) + (a + b*P/m)*theta
 
-so eps maps L into itself exactly when m divides b*P, b*Q and b*N.
+so eps maps L into itself exactly when m divides b*P, b*Q and b*N.  The
+period matrix of the normalized generator is left to
+``pipeline.functor_invariants``, which checks it against its continued
+fraction.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import re
 from dataclasses import dataclass
 from math import isqrt
 
-from .cfrac import QuadSurd, expand, period_matrix
+from .cfrac import QuadSurd
 from .errors import DomainError, ParseError
 from .exactnum import QuadElem
 from .intlinalg import IntMatrix2, is_square, square_part, xgcd
@@ -100,14 +103,3 @@ def scale_lattice(L: PseudoLattice, eps: QuadElem) -> SublatticeData:
     H = hnf2(M)
     theta_p = _affine_surd(L.theta, H.b, H.d, H.a)
     return SublatticeData(H, abs(M.det()), PseudoLattice(theta_p))
-
-
-def stationary_matrix(L: PseudoLattice, eps: QuadElem) -> IntMatrix2:
-    """Period matrix of the normalized generator of eps*L.
-
-    The generator is translated into (0, 1) before expansion; translations
-    change only the preperiod, never the period.
-    """
-    t = scale_lattice(L, eps).normalized.theta
-    frac = t.translate(-t.floor())
-    return period_matrix(expand(frac))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 
 from .errors import BudgetExceededError, DomainError, ParseError
@@ -26,6 +25,7 @@ from .intlinalg import (
     mat_mul,
     mat_pow,
     mat_sub,
+    matrix_text,
     scalar_matrix,
     smith_diagonal,
     solve_right,
@@ -64,48 +64,12 @@ class SFTMatrix:
             )
         return cls(M.rows())
 
-    @cached_property
-    def is_irreducible(self) -> bool:
-        """Strong connectivity of the edge multigraph: (I + A)^(n-1) > 0."""
-        n = self.n
-        if n == 1:
-            return self.rows[0][0] > 0
-        P = identity(n)
-        IA = tuple(
-            tuple(self.rows[i][j] + (1 if i == j else 0) for j in range(n))
-            for i in range(n)
-        )
-        for _ in range(n - 1):
-            P = mat_mul(P, IA)
-        return all(v > 0 for r in P for v in r)
-
-    @cached_property
-    def is_primitive(self) -> bool:
-        """Some single power is strictly positive (Wielandt bound on the
-        exponent).  Implies irreducibility but not conversely."""
-        n = self.n
-        bound = (n - 1) * (n - 1) + 1
-        P = self.rows
-        for _ in range(bound):
-            if all(v > 0 for r in P for v in r):
-                return True
-            P = mat_mul(P, self.rows)
-        return False
-
     @property
     def total_edges(self) -> int:
         return sum(v for r in self.rows for v in r)
 
-    def spectral_radius_float(self) -> float:
-        """Largest absolute eigenvalue, as a float convenience."""
-        from mpmath import mp
-
-        with mp.workprec(64):
-            rts = mp.polyroots([mp.mpf(c) for c in reversed(charpoly(self.rows))])
-            return float(max(abs(r) for r in rts)) if rts else 0.0
-
     def __str__(self) -> str:
-        return ";".join(",".join(str(v) for v in r) for r in self.rows)
+        return matrix_text(self.rows)
 
     @classmethod
     def parse(cls, text: str) -> "SFTMatrix":
@@ -416,19 +380,19 @@ def gl2z_similar(A: IntMatrix2, B: IntMatrix2, bound: int = 10) -> SimilarityRes
     tr, dt = A.trace(), A.det()
     disc = tr * tr - 4 * dt
     if disc >= 0 and is_square(disc):
+        # s*s = tr*tr - 4*dt, so s and tr have the same parity
         s = isqrt(disc)
-        if (tr - s) % 2 == 0:
-            for lam in ((tr + s) // 2, (tr - s) // 2):
-                dA = smith_diagonal(mat_sub(A.rows(), scalar_matrix(2, lam)))
-                dB = smith_diagonal(mat_sub(B.rows(), scalar_matrix(2, lam)))
-                if dA != dB:
-                    return SimilarityResult(
-                        "not_similar",
-                        witness=(
-                            f"Smith forms of (A - {lam} I) differ: "
-                            f"{list(dA)} vs {list(dB)}"
-                        ),
-                    )
+        for lam in ((tr + s) // 2, (tr - s) // 2):
+            dA = smith_diagonal(mat_sub(A.rows(), scalar_matrix(2, lam)))
+            dB = smith_diagonal(mat_sub(B.rows(), scalar_matrix(2, lam)))
+            if dA != dB:
+                return SimilarityResult(
+                    "not_similar",
+                    witness=(
+                        f"Smith forms of (A - {lam} I) differ: "
+                        f"{list(dA)} vs {list(dB)}"
+                    ),
+                )
     cands = sylvester_solutions(A.rows(), B.rows(), -bound, bound)
     valid = [T for T in cands if abs(T[0][0] * T[1][1] - T[0][1] * T[1][0]) == 1]
     if valid:

@@ -49,6 +49,20 @@ def period_matrix_fold(period) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
+def surd_canonical(s) -> tuple[int, int, int, int]:
+    """Reference key of the value of a surd (P + sqrt(D))/Q: D split as
+    m*m * kernel with kernel square-free, then (P, m, Q) divided by their
+    gcd, so (P + m*sqrt(kernel))/Q is in lowest terms.  Factors D, so only
+    for small D."""
+    from math import gcd
+
+    from lattes_sft.intlinalg import square_part
+
+    m, kernel = square_part(s.D)
+    g = gcd(gcd(abs(s.P), m), abs(s.Q))
+    return (s.P // g, m // g, kernel, s.Q // g)
+
+
 def scale_lattice_fraction(L, eps):
     """Reference scale_lattice by arithmetic in Q(sqrt(d)): theta becomes
     the field element P/Q + (m/Q)*sqrt(kernel), and the coordinates of eps

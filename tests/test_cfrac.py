@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 from lattes_sft import (
@@ -19,7 +19,8 @@ from lattes_sft import (
     period_matrix,
 )
 from lattes_sft import cfrac, intlinalg
-from oracles import cf_float, expand_seen, period_matrix_fold
+from lattes_sft.intlinalg import is_square
+from oracles import cf_float, expand_seen, period_matrix_fold, surd_canonical
 
 
 def surd(P, Q, D):
@@ -38,6 +39,33 @@ class TestQuadSurd:
     def test_equality_across_representations(self):
         assert surd(0, 2, 8) == surd(0, 1, 2)  # sqrt(8)/2 = sqrt(2)
         assert surd(2, 2, 8) != surd(0, 1, 2)
+
+    def test_equality_factors_nothing(self):
+        # D = 2^61 - 1 is prime, far past the trial-division budget
+        D = 2**61 - 1
+        assert surd(0, 1, D) == surd(0, 1, D)
+        assert surd(0, 1, D) == surd(0, 3, 9 * D)  # sqrt(9D)/3
+        assert hash(surd(0, 1, D)) == hash(surd(0, 3, 9 * D))
+        assert surd(0, 1, D) != surd(0, -1, D)
+        assert surd(0, 1, D) != surd(0, 1, 4 * D)
+
+    @settings(max_examples=400)
+    @given(
+        st.integers(-12, 12), st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4, 6]),
+        st.integers(2, 60), st.integers(-12, 12),
+        st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4, 6]), st.integers(2, 60),
+        st.integers(1, 4),
+    )
+    def test_equality_matches_canonical_form(self, P1, Q1, D1, P2, Q2, D2, k):
+        # the old route, by the square-free part of D, is the reference;
+        # pairs scaled by k are equal, the others mostly not
+        assume(not is_square(D1) and not is_square(D2))
+        s = surd(P1, Q1, D1)
+        for t in (surd(P2, Q2, D2), surd(k * P1, k * Q1, k * k * D1)):
+            same = surd_canonical(s) == surd_canonical(t)
+            assert (s == t) == same
+            if same:
+                assert hash(s) == hash(t)
 
     def test_floor(self):
         assert surd(0, 1, 2).floor() == 1

@@ -8,7 +8,7 @@ from mpmath import mp
 from lattes_sft import (
     DomainError,
     EllipticCurve,
-    Mobius,
+    IntMatrix2,
     Poly,
     RationalMap,
     SFTMatrix,
@@ -68,10 +68,10 @@ def _random_map(rng, max_deg=2):
 class TestConjugate:
     def test_identity_mobius(self):
         phi = RationalMap(P(1, 0, 2), P(0, 3, 1))
-        assert conjugate(phi, Mobius.identity()) == phi
+        assert conjugate(phi, IntMatrix2.identity()) == phi
 
     def test_z2_by_inversion(self):
-        assert conjugate(Z2, Mobius(0, 1, 1, 0)) == Z2
+        assert conjugate(Z2, IntMatrix2(0, 1, 1, 0)) == Z2
 
     def test_degree_preserved(self):
         rng = random.Random(97)
@@ -81,29 +81,45 @@ class TestConjugate:
             assert conjugate(phi, f).degree == phi.degree
 
     def test_group_action(self):
+        # the map of F * G is m_F o m_G
         rng = random.Random(101)
         for _ in range(15):
             phi = _random_map(rng)
             f = _random_mobius(rng)
             g = _random_mobius(rng)
-            assert conjugate(conjugate(phi, f), g) == conjugate(phi, f.after(g))
+            assert conjugate(conjugate(phi, f), g) == conjugate(phi, f * g)
+
+    def test_scalar_multiple_is_same_map(self):
+        rng = random.Random(107)
+        for _ in range(15):
+            phi = _random_map(rng)
+            M = _random_mobius(rng)
+            k = rng.choice([-3, -1, 2, 5])
+            kM = IntMatrix2(*(k * v for v in M.entries()))
+            assert conjugate(phi, kM) == conjugate(phi, M)
 
 
 def _random_mobius(rng):
     while True:
-        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-        if a * d - b * c != 0:
-            return Mobius(a, b, c, d)
+        M = IntMatrix2(*(rng.randint(-3, 3) for _ in range(4)))
+        if M.det() != 0:
+            return M
 
 
 class TestMobius:
+    """A Moebius map is its integer matrix; conjugate builds the map and
+    its inverse from it."""
+
     def test_invertibility_required(self):
-        with pytest.raises(DomainError):
-            Mobius(1, 2, 2, 4)
+        for M in (IntMatrix2(1, 2, 2, 4), IntMatrix2(0, 0, 0, 0), IntMatrix2(0, 1, 0, 3)):
+            with pytest.raises(DomainError, match="ad - bc != 0"):
+                conjugate(Z2, M)
 
     def test_inverse(self):
-        f = Mobius(1, 2, 3, 4)
-        assert compose(f.inverse().as_map(), f.as_map()) == IDENT
+        # m^{-1} o id o m is the identity exactly when the adjugate inverts m
+        rng = random.Random(109)
+        for M in [IntMatrix2(1, 2, 3, 4)] + [_random_mobius(rng) for _ in range(20)]:
+            assert conjugate(IDENT, M) == IDENT
 
 
 class TestIterate:

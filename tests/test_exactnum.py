@@ -55,9 +55,6 @@ class TestNormTrace:
     def test_sqrt2(self):
         x = elem(0, 1)
         assert (x.norm(), x.trace()) == (-2, 0)
-        from lattes_sft import norm_trace
-
-        assert norm_trace(x) == (-2, 0)
 
     def test_unit(self):
         x = elem(1, 0)

@@ -12,9 +12,11 @@ from lattes_sft import (
     PseudoLattice,
     QuadElem,
     QuadSurd,
+    expand,
+    functor_invariants,
     hnf2,
+    period_matrix,
     scale_lattice,
-    stationary_matrix,
 )
 from lattes_sft.cfrac import square_part
 from oracles import hnf_oracle, random_unimodular, scale_lattice_fraction
@@ -162,18 +164,32 @@ class TestHnf2:
             hnf2(IntMatrix2(1, 2, 2, 4))
 
 
+def _stationary_matrix(L, eps):
+    """Period matrix of the normalized generator of eps*L, translated into
+    (0, 1): the steps of the chain in functor_invariants."""
+    t = scale_lattice(L, eps).normalized.theta
+    return period_matrix(expand(t.translate(-t.floor())))
+
+
 class TestStationaryMatrix:
+    """The period matrix T that the chain computes for eps*L."""
+
     def test_sqrt2(self):
-        T = stationary_matrix(PseudoLattice.from_sqrt(2), QuadElem(0, 1, 2))
+        T = functor_invariants(2, QuadElem(0, 1, 2)).T
+        assert T == _stationary_matrix(PseudoLattice.from_sqrt(2), QuadElem(0, 1, 2))
         assert T == IntMatrix2(2, 1, 1, 0)
 
     def test_rational_two_gives_same_period(self):
-        T = stationary_matrix(PseudoLattice.from_sqrt(2), QuadElem(2, 0, 2))
+        # 2*L has the same normalized generator; the chain itself rejects a
+        # rational eps, which has no companion matrix
+        T = _stationary_matrix(PseudoLattice.from_sqrt(2), QuadElem(2, 0, 2))
         assert T == IntMatrix2(2, 1, 1, 0)
+        with pytest.raises(DomainError, match="irrational"):
+            functor_invariants(2, QuadElem(2, 0, 2))
 
     def test_sqrt5(self):
         # theta' = sqrt(5)/5 expands with period (4)
-        T = stationary_matrix(PseudoLattice.from_sqrt(5), QuadElem(0, 1, 5))
+        T = functor_invariants(5, QuadElem(0, 1, 5)).T
         assert T == IntMatrix2(4, 1, 1, 0)
 
     def test_translation_invariance(self):
@@ -182,14 +198,13 @@ class TestStationaryMatrix:
         for _ in range(20):
             D = rng.choice(SQF)
             eps = QuadElem(rng.randint(-4, 4), rng.choice([-2, 1, 2]), D)
-            L = PseudoLattice.from_sqrt(D)
-            sub = scale_lattice(L, eps)
-            t = sub.normalized.theta
-            from lattes_sft import expand, period_matrix
-
+            t = scale_lattice(PseudoLattice.from_sqrt(D), eps).normalized.theta
             base = period_matrix(expand(t.translate(-t.floor())))
             shifted = period_matrix(expand(t.translate(-t.floor() + 3)))
-            assert base == shifted == stationary_matrix(L, eps)
+            assert base == shifted
+            if eps.norm() <= 0 <= eps.trace():
+                # a non-negative companion matrix: the chain runs
+                assert functor_invariants(D, eps).T == base
 
 
 class TestPseudoLattice:

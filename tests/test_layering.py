@@ -1,6 +1,7 @@
 """The package's modules import one way: errors at the bottom, then the
 integer helpers in intlinalg, then the exact arithmetic and continued
-fractions built on them, with no import cycle."""
+fractions built on them, with no import cycle; and every exported name
+resolves."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,12 @@ def test_no_import_cycle():
 
     for module in graph:
         visit(module, ())
+
+
+def test_exports_resolve_once():
+    import lattes_sft
+
+    names = lattes_sft.__all__
+    assert len(names) == len(set(names)), "a name is exported twice"
+    missing = [n for n in names if not hasattr(lattes_sft, n)]
+    assert not missing, f"__all__ names what the package does not define: {missing}"

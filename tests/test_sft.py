@@ -36,20 +36,6 @@ class TestSFTMatrix:
         with pytest.raises(DomainError):
             SFTMatrix(())
 
-    def test_irreducibility(self):
-        # the worked matrix is irreducible but not primitive (period 2)
-        assert A_WORKED.is_irreducible
-        assert not A_WORKED.is_primitive
-        assert SFTMatrix(((2,),)).is_irreducible
-        assert SFTMatrix(((2,),)).is_primitive
-        assert SFTMatrix(((1, 1), (1, 0))).is_primitive
-        assert not SFTMatrix(((1, 1), (0, 1))).is_irreducible
-        assert not SFTMatrix(((0,),)).is_irreducible
-        assert not SFTMatrix(((0,),)).is_primitive
-
-    def test_spectral_radius(self):
-        assert abs(A_WORKED.spectral_radius_float() - 2**0.5) < 1e-12
-
     def test_text_roundtrip(self):
         assert SFTMatrix.parse("0,1;2,0") == A_WORKED
         assert SFTMatrix.parse(str(A_WORKED)) == A_WORKED
