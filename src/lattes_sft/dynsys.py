@@ -1,6 +1,11 @@
 """Exact dynamics of rational self-maps of the projective line: composition,
 Moebius conjugation, periodic-point counting, and truncated zeta series.
 
+Maps compose in integers: ``compose`` multiplies the integer coefficient
+lists of a ``RationalMap`` with ``intlinalg.poly_mul``, and ``iterate``
+refuses an iterate of degree above ``ITERATE_DEGREE_BUDGET`` before
+composing anything.
+
 A Moebius map z -> (a z + b)/(c z + d) is its integer matrix
 ``IntMatrix2(a, b, c, d)``; composing maps is multiplying matrices, and a
 nonzero scalar multiple of the matrix is the same map.
@@ -19,37 +24,57 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 from .exactnum import Poly
-from .intlinalg import IntMatrix2
+from .intlinalg import IntMatrix2, poly_mul
 from .lattes import RationalMap
 
 
+# Largest degree of an iterate that ``iterate`` builds: on a 2-core
+# container the doubling map's degree-4^5 iterate takes about 1 s, its
+# degree-4^6 iterate about 40 s.
+ITERATE_DEGREE_BUDGET = 4**5
+
+
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:
-    """Exact composition f o g, reduced to lowest terms."""
+    """Exact composition f o g, reduced to lowest terms.
+
+    For f = sum a_i x^i / sum b_i x^i of degree m and g = r/s, f o g is
+    sum a_i r^i s^(m-i) / sum b_i r^i s^(m-i).  The coefficients of a
+    ``RationalMap`` are integers, so every product is one ``poly_mul`` on
+    integer lists and the map is built once, from the two sums."""
     m = f.degree
-    r, s = g.num, g.den
-    rp = [Poly.one()]
-    sp = [Poly.one()]
+    r = [c.numerator for c in g.num.coeffs]
+    s = [c.numerator for c in g.den.coeffs]
+    rp = [[1]]
+    sp = [[1]]
     for _ in range(m):
-        rp.append(rp[-1] * r)
-        sp.append(sp[-1] * s)
-    num = Poly()
-    den = Poly()
+        rp.append(poly_mul(rp[-1], r))
+        sp.append(poly_mul(sp[-1], s))
+    num = [0] * (m * (max(len(r), len(s)) - 1) + 1)
+    den = list(num)
     for i in range(m + 1):
-        cross = rp[i] * sp[m - i]
-        cn = f.num.coefficient(i)
-        cd = f.den.coefficient(i)
-        if cn:
-            num = num + cn * cross
-        if cd:
-            den = den + cd * cross
-    return RationalMap(num, den)
+        a = f.num.coefficient(i).numerator
+        b = f.den.coefficient(i).numerator
+        if a or b:
+            for j, c in enumerate(poly_mul(rp[i], sp[m - i])):
+                num[j] += a * c
+                den[j] += b * c
+    return RationalMap(Poly(num), Poly(den))
 
 
 def iterate(f: RationalMap, n: int) -> RationalMap:
+    """The n-th iterate f o ... o f; raises BudgetExceededError before any
+    composition when its degree f.degree^n exceeds ITERATE_DEGREE_BUDGET."""
     if n < 1:
         raise DomainError("iteration count must be >= 1")
+    # d^min(n, b) > budget exactly when d^n > budget (2^b > budget), and
+    # never forms a huge power
+    if f.degree ** min(n, ITERATE_DEGREE_BUDGET.bit_length()) > ITERATE_DEGREE_BUDGET:
+        raise BudgetExceededError(
+            f"iterate of degree {f.degree}^{n} exceeds "
+            f"ITERATE_DEGREE_BUDGET = {ITERATE_DEGREE_BUDGET}"
+        )
     out = f
     for _ in range(n - 1):
         out = compose(f, out)

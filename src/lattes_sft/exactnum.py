@@ -3,9 +3,12 @@ polynomials over the rationals, and elements a + b*sqrt(D) of a real
 quadratic field.
 
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator);
-the alias ``Rational`` is exported for callers.  Polynomial gcds run as a
-primitive polynomial remainder sequence over the integers to keep
-coefficient growth in check.
+the alias ``Rational`` is exported for callers.  Polynomial arithmetic
+that grows coefficients runs over the integers: a product clears the
+denominators of both factors once and multiplies with
+``intlinalg.poly_mul``, the one polynomial product of the package, and a
+gcd is certified coprime modulo a prime or runs as a primitive polynomial
+remainder sequence, which keeps coefficient growth in check.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError, ParseError
-from .intlinalg import IntMatrix2, is_squarefree
+from .intlinalg import IntMatrix2, is_squarefree, poly_mul
 
 Rational = Fraction
 
@@ -170,23 +173,11 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return Poly(out)
+            (sa, a), (sb, b) = self._int_coeffs(), other._int_coeffs()
+            return Poly(Fraction(c, sa * sb) for c in poly_mul(a, b))
         return Poly(tuple(c * Fraction(other) for c in self.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "Poly":
-        out = Poly.one()
-        for _ in range(e):
-            out = out * self
-        return out
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
@@ -222,19 +213,13 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def compose(self, other: "Poly") -> "Poly":
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * other + Poly((c,))
-        return out
-
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor."""
         if self.is_zero:
             return other.monic()
         if other.is_zero:
             return self.monic()
-        a, b = self._int_coeffs(), other._int_coeffs()
+        a, b = self._int_coeffs()[1], other._int_coeffs()[1]
         if _provably_coprime(a, b):
             return Poly.one()
         g = _prs_gcd(a, b)
@@ -250,15 +235,11 @@ class Poly:
             raise ArithmeticError("gcd must divide exactly")
         return q.monic()
 
-    def _int_coeffs(self) -> list[int]:
+    def _int_coeffs(self) -> tuple[int, list[int]]:
+        """(s, v): s is the least positive integer making s * self
+        integral, and v lists the coefficients of s * self."""
         scale = lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-        return [int(c * scale) for c in self.coeffs]
-
-    def eval(self, z: Fraction) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * z + c
-        return out
+        return scale, [c.numerator * (scale // c.denominator) for c in self.coeffs]
 
     def eval_mp(self, z):
         """Horner evaluation at an mpmath number, in the caller's precision."""

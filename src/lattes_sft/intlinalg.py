@@ -1,7 +1,9 @@
 """Exact integer arithmetic and linear algebra, below every module but errors.
 
-Square tests and square-free parts by bounded trial division, the 2x2
-matrix type ``IntMatrix2``, and general matrices as tuples of row tuples.
+Square tests and square-free parts by bounded trial division, the one
+polynomial product of the package (``poly_mul``, by Kronecker
+substitution on integer coefficient lists), the 2x2 matrix type
+``IntMatrix2``, and general matrices as tuples of row tuples.
 ``IntMatrix2`` is every 2x2 integer matrix of the package, the Moebius
 maps of ``dynsys.conjugate`` included; its product ``mat2_mul`` also runs
 on the bare 4-tuples of ``cfrac.period_matrix``, and ``matrix_text`` is
@@ -73,6 +75,52 @@ def square_part(n: int) -> tuple[int, int]:
 
 def is_squarefree(n: int) -> bool:
     return n > 0 and square_part(n)[0] == 1
+
+
+def _kronecker_pack(v: list[int], width: int) -> int:
+    """sum v[i] * 2^(8*width*i), written in bytes: the positive and the
+    negative coefficients each pack to one integer and the result is their
+    difference."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in v)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in v)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of integer coefficient lists, lowest degree first, by
+    Kronecker substitution: each list is read as the digits of one integer
+    in base 2^k, the two integers are multiplied once (CPython's Karatsuba
+    product), and the digits of the product are its coefficients.
+
+    k is a multiple of 8 with every product coefficient below 2^(k-1) in
+    absolute value, so the digits read back balanced are exact.  Packing
+    and unpacking go through bytes and take linear time; shifting or
+    masking the product digit by digit, or going through ``str``, is
+    quadratic.  The result has len(a) + len(b) - 1 entries, or none when
+    a factor is empty."""
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    base = 1 << (8 * width)
+    half = base >> 1
+    product = _kronecker_pack(a, width) * _kronecker_pack(b, width)
+    # |product| < 2^(8*width*n - 1), so its two's complement in n digits is
+    # exact; each digit at or above half is negative and borrows from the next
+    data = product.to_bytes(n * width, "little", signed=True)
+    out = []
+    carry = 0
+    for i in range(0, n * width, width):
+        c = int.from_bytes(data[i : i + width], "little") + carry
+        carry = c >= half
+        out.append(c - base if carry else c)
+    return out
 
 
 def matrix_text(rows) -> str:

@@ -75,8 +75,8 @@ class RationalMap:
         scale = lcm(
             *(c.denominator for c in num.coeffs), *(c.denominator for c in den.coeffs)
         )
-        ni = [int(c * scale) for c in num.coeffs]
-        di = [int(c * scale) for c in den.coeffs]
+        ni = [c.numerator * (scale // c.denominator) for c in num.coeffs]
+        di = [c.numerator * (scale // c.denominator) for c in den.coeffs]
         content = 0
         for v in ni + di:
             content = gcd(content, abs(v))

@@ -147,3 +147,39 @@ def random_nonsingular_curve(rng: random.Random):
             return EllipticCurve(a, b, c)
         except DomainError:
             continue
+
+
+def poly_mul_schoolbook(a, b) -> list:
+    """Reference product of coefficient lists, lowest degree first, by the
+    double loop; ints and Fractions alike."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def compose_fraction(f, g):
+    """Reference composition f o g in Fraction coefficients with the
+    schoolbook product: sum a_i r^i s^(m-i) / sum b_i r^i s^(m-i) for
+    f = sum a_i x^i / sum b_i x^i of degree m and g = r/s, reduced by the
+    RationalMap constructor."""
+    from fractions import Fraction
+
+    from lattes_sft import Poly, RationalMap
+
+    m = f.degree
+    r, s = list(g.num.coeffs), list(g.den.coeffs)
+    rp = [[Fraction(1)]]
+    sp = [[Fraction(1)]]
+    for _ in range(m):
+        rp.append(poly_mul_schoolbook(rp[-1], r))
+        sp.append(poly_mul_schoolbook(sp[-1], s))
+    num, den = Poly(), Poly()
+    for i in range(m + 1):
+        cross = Poly(poly_mul_schoolbook(rp[i], sp[m - i]))
+        num = num + f.num.coefficient(i) * cross
+        den = den + f.den.coefficient(i) * cross
+    return RationalMap(num, den)

@@ -232,6 +232,14 @@ class TestPeriodic:
         rc, _, _ = run(capsys, ["periodic", "-n", "1"])
         assert rc == 2
 
+    def test_degree_budget_exits_1(self, capsys):
+        # the iterate would have degree 4^12; it is refused before composing
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["periodic", "--curve", "4,2,0", "-n", "12"])
+        assert (rc, out) == (1, "")
+        assert "ITERATE_DEGREE_BUDGET = 1024" in err
+        assert time.perf_counter() - start < 10
+
 
 class TestCompare:
     def test_table(self, capsys):

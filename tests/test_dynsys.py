@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 
 from lattes_sft import (
+    BudgetExceededError,
     DomainError,
     EllipticCurve,
     IntMatrix2,
@@ -22,7 +23,8 @@ from lattes_sft import (
     zeta_from_counts,
     zeta_sft,
 )
-from lattes_sft import cli
+from lattes_sft import cli, dynsys
+from oracles import compose_fraction
 
 
 def P(*coeffs):
@@ -52,6 +54,31 @@ class TestCompose:
             f = _random_map(rng)
             g = _random_map(rng)
             assert compose(f, g).degree == f.degree * g.degree
+
+    @pytest.mark.parametrize("twist", (1, -1, 2))
+    @pytest.mark.parametrize("curve", ((0, 0, 1), (4, 2, 0), (-3, -32, -64)))
+    def test_doubling_iterates_match_fraction_route(self, curve, twist):
+        # the CM classes j = 0, 8000, -3375 and their twists (a d, b d^2, c d^3)
+        a, b, c = curve
+        phi = duplication_map(EllipticCurve(a * twist, b * twist**2, c * twist**3))
+        out = phi
+        for _ in range(3):
+            step = compose(phi, out)
+            assert step == compose_fraction(phi, out)
+            out = step
+
+    def test_conjugated_maps_match_fraction_route(self):
+        # conjugating gives non-monic maps with negative leading coefficients
+        rng = random.Random(113)
+        for k in range(20):
+            phi = IDENT
+            while phi.degree != 2 + k % 2:
+                phi = conjugate(_random_map(rng, max_deg=3), _random_mobius(rng))
+            out = phi
+            for _ in range(2):
+                step = compose(phi, out)
+                assert step == compose_fraction(phi, out)
+                out = step
 
 
 def _random_map(rng, max_deg=2):
@@ -135,6 +162,20 @@ class TestIterate:
         with pytest.raises(DomainError):
             iterate(Z2, 0)
 
+    def test_degree_budget(self, monkeypatch):
+        assert dynsys.ITERATE_DEGREE_BUDGET == 4**5
+        assert iterate(Z2, 10).degree == 4**5
+        assert iterate(INV, 101) == INV
+
+        def no_compose(f, g):
+            raise AssertionError("composed past the budget")
+
+        monkeypatch.setattr(dynsys, "compose", no_compose)
+        for phi, n in ((Z2, 11), (duplication_map(EllipticCurve(4, 2, 0)), 6),
+                       (Z2, 10**12)):
+            with pytest.raises(BudgetExceededError, match="ITERATE_DEGREE_BUDGET = 1024"):
+                iterate(phi, n)
+
 
 class TestPeriodicPoints:
     def test_z2_fixed_points(self):
@@ -192,6 +233,11 @@ class TestPeriodicPoints:
                     b.count_with_multiplicity,
                     b.count_distinct,
                 )
+
+    def test_doubling_count_at_the_budget(self):
+        # x(E[31]) and x(E[33]) plus infinity: 4^5 + 1 distinct points
+        count = periodic_count(duplication_map(EllipticCurve(4, 2, 0)), 5)
+        assert count.count_distinct == count.count_with_multiplicity == 4**5 + 1
 
     def test_degree_guard(self):
         with pytest.raises(DomainError):

@@ -13,6 +13,7 @@ from lattes_sft import (
     QuadElem,
     companion_matrix,
 )
+from oracles import poly_mul_schoolbook
 
 SQF = [2, 3, 5, 6, 7, 10, 11, 13]
 
@@ -154,9 +155,6 @@ class TestPolyOps:
         p = P(-1, 1) * P(-1, 1) * P(2, 1)
         assert p.squarefree_part() == P(-1, 1) * P(2, 1)
 
-    def test_compose_example(self):
-        assert P(0, 0, 1).compose(P(1, 1)) == P(1, 1) * P(1, 1)
-
     def test_divmod_exact(self):
         q, r = divmod(P(-1, 0, 1), P(-1, 1))
         assert q == P(1, 1) and r.is_zero
@@ -170,6 +168,14 @@ class TestPolyOps:
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
             divmod(P(1, 1), Poly())
+
+    @given(
+        st.lists(st.fractions(max_denominator=2**40), max_size=24),
+        st.lists(st.fractions(max_denominator=12), max_size=24),
+    )
+    def test_product_matches_schoolbook(self, a, b):
+        # Poly clears denominators, multiplies in integers and rescales
+        assert Poly(a) * Poly(b) == Poly(poly_mul_schoolbook(a, b))
 
     def test_derivative(self):
         assert P(5, 3, 0, 2).derivative() == P(3, 0, 6)

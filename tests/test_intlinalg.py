@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from lattes_sft.intlinalg import (
     charpoly,
     column_echelon,
@@ -10,6 +12,7 @@ from lattes_sft.intlinalg import (
     mat_mul,
     mat_pow,
     mat_sub,
+    poly_mul,
     smith_diagonal,
     smith_normal_form,
     solve_right,
@@ -17,6 +20,7 @@ from lattes_sft.intlinalg import (
     transpose,
     xgcd,
 )
+from oracles import poly_mul_schoolbook
 
 
 def rand_matrix(rng, n, lo=-5, hi=5):
@@ -192,3 +196,42 @@ def test_mat_helpers():
     assert mat_sub(A, A) == ((0, 0), (0, 0))
     assert mat_pow(A, 0) == identity(2)
     assert mat_pow(A, 3) == mat_mul(A, mat_mul(A, A))
+
+
+# Coefficients at the byte boundaries of the packing width, 2^(8j) - 1,
+# 2^(8j) and 2^(8j) + 1, signed, next to small and very large ones.
+_BYTE_EDGE = st.builds(
+    lambda j, d, sign: sign * (2 ** (8 * j) + d),
+    st.integers(0, 48),
+    st.sampled_from((-1, 0, 1)),
+    st.sampled_from((-1, 1)),
+)
+_COEFF = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    _BYTE_EDGE,
+    st.integers(2**300, 2**320).flatmap(lambda v: st.sampled_from((v, -v))),
+)
+_EDGE = 2**64 - 1
+
+
+@settings(max_examples=300)
+@given(st.lists(_COEFF, max_size=200), st.lists(_COEFF, max_size=200))
+@example([], [1, 2])
+@example([0, 0, 0], [5, -7])
+@example([0], [0])
+@example([3, 0, 0, -2, 0, 1], [0, -1, 0, 0, 4])
+@example([_EDGE] * 5, [_EDGE] * 5)  # every product coefficient at its bound
+@example([-_EDGE] * 200, [_EDGE] * 200)
+@example([-(2**64 + 1)] * 3, [2**64 + 1, -(2**64 + 1)] * 4)
+@example([2**8 - 1], [-(2**8 - 1)])
+def test_poly_mul_matches_schoolbook(a, b):
+    assert poly_mul(a, b) == poly_mul_schoolbook(a, b)
+
+
+def test_poly_mul_long_factors():
+    rng = random.Random(11)
+    for la, lb in ((1, 200), (200, 1), (137, 200), (200, 200)):
+        a = [rng.randint(-(2**400), 2**400) for _ in range(la)]
+        b = [rng.choice((-1, 1)) * (2 ** (8 * rng.randint(0, 50)) - 1) for _ in range(lb)]
+        assert poly_mul(a, b) == poly_mul_schoolbook(a, b)
