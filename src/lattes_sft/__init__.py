@@ -22,7 +22,7 @@ from .dynsys import (
     zeta_from_counts,
 )
 from .errors import BudgetExceededError, DomainError, ParseError
-from .exactnum import Poly, QuadElem, Rational, companion_matrix
+from .exactnum import Poly, QuadElem, companion_matrix
 from .intlinalg import IntMatrix2
 from .lattes import EllipticCurve, RationalMap, double_point, duplication_map, lift_y
 from .lattice import PseudoLattice, SublatticeData, hnf2, scale_lattice
@@ -71,7 +71,6 @@ __all__ = [
     "PseudoLattice",
     "QuadElem",
     "QuadSurd",
-    "Rational",
     "RationalMap",
     "SECertificate",
     "SEResult",

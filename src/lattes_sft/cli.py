@@ -15,7 +15,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .cfrac import ContinuedFraction, QuadSurd, expand
-from .dynsys import periodic_points
+from .dynsys import PRECISION_BUDGET, periodic_points
 from .errors import DomainError, ParseError
 from .exactnum import Poly, QuadElem
 from .intlinalg import IntMatrix2, matrix_text
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=128,
-        help="root-location precision of 'periodic' in bits (>= 64)",
+        help=f"root-location precision of 'periodic' in bits (64 to {PRECISION_BUDGET})",
     )
     parser.add_argument(
         "--entry-bound", type=int, default=10, help="entry bound for searches"

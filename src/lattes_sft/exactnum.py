@@ -1,13 +1,13 @@
-"""Exact arithmetic foundation: arbitrary-precision rationals, univariate
-polynomials over the rationals, and elements a + b*sqrt(D) of a real
-quadratic field.
+"""Exact arithmetic foundation: univariate polynomials over the rationals,
+and elements a + b*sqrt(D) of a real quadratic field.
 
-Rationals are ``fractions.Fraction`` (always reduced, positive denominator);
-the alias ``Rational`` is exported for callers.  Polynomial arithmetic
-that grows coefficients runs over the integers: a product clears the
-denominators of both factors once and multiplies with
-``intlinalg.poly_mul``, the one polynomial product of the package, and a
-gcd is certified coprime modulo a prime or runs as a primitive polynomial
+Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
+A polynomial is held as integer coefficients ``ints`` over one positive
+integer ``den``, in lowest terms, and every algorithm reads the integers:
+a product is one ``intlinalg.poly_mul`` (the one polynomial product of the
+package) over the product of the denominators, division is one integer
+pseudo-division ``_pseudo_divmod``, shared with the gcd, and a gcd is
+certified coprime modulo a prime or runs as a primitive polynomial
 remainder sequence, which keeps coefficient growth in check.
 """
 
@@ -21,8 +21,6 @@ from math import gcd, lcm
 from .errors import DomainError, ParseError
 from .intlinalg import IntMatrix2, is_squarefree, poly_mul
 
-Rational = Fraction
-
 
 # ---------------------------------------------------------------------------
 # polynomials over Q
@@ -34,42 +32,40 @@ def _trim(v: list) -> list:
     return v
 
 
-def _int_content(v: list[int]) -> int:
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
-    return g or 1
-
-
-def _int_primitive(v: list[int]) -> list[int]:
-    g = _int_content(v)
-    return [c // g for c in v]
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of (scalar multiple of a) by b, fraction-free."""
-    r = list(a)
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of coefficient lists, lowest degree first,
+    b nonzero: (q, r, s) with s*a = q*b + r and deg r < deg b.  s is a
+    power of b's leading coefficient, taken only at steps where that
+    coefficient does not divide the leading term."""
     db = len(b) - 1
     lcb = b[-1]
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
+    q = [0] * max(len(a) - db, 0)
+    r = list(a)
+    s = 1
+    while len(r) > db:
+        f, rem = divmod(r[-1], lcb)
+        if rem:
+            f = r[-1]
+            r = [lcb * c for c in r]
+            q = [lcb * c for c in q]
+            s *= lcb
         d = len(r) - 1 - db
-        r = [lcb * c for c in r]
+        q[d] += f
         for i, bc in enumerate(b):
-            r[i + d] -= lr * bc
+            r[i + d] -= f * bc
         _trim(r)
-    return r
+    return q, r, s
 
 
 def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive PRS gcd of integer coefficient lists (lowest degree first)."""
-    a = _int_primitive(_trim(list(a)))
-    b = _int_primitive(_trim(list(b)))
+    """Primitive PRS gcd of nonzero integer coefficient lists, up to a
+    scalar."""
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _trim(_pseudo_rem(a, b))
-        a, b = b, (_int_primitive(r) if r else [])
+        r = _pseudo_divmod(a, b)[1]
+        g = gcd(*r) or 1
+        a, b = b, [c // g for c in r]
     return a
 
 
@@ -106,112 +102,118 @@ def _provably_coprime(a: list[int], b: list[int]) -> bool:
 
 
 class Poly:
-    """Univariate polynomial over Q, coefficients lowest degree first."""
+    """Univariate polynomial over Q: the integer coefficients ``ints``,
+    lowest degree first with no trailing zero, over the positive integer
+    ``den``, in lowest terms (``den`` is the least common denominator of
+    the coefficients)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _from_ints(cls, ints, den: int = 1) -> "Poly":
+        """The polynomial with integer coefficients ints over den != 0."""
+        p = object.__new__(cls)
+        p._set(list(ints), den)
+        return p
+
+    def _set(self, ints: list[int], den: int) -> None:
+        _trim(ints)
+        if den != 1:
+            g = gcd(den, *ints) * (-1 if den < 0 else 1)
+            if g != 1:
+                ints = [c // g for c in ints]
+                den //= g
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return cls._from_ints((0, 1))
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return cls._from_ints((1,))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.ints)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return Fraction(self.ints[i], self.den) if 0 <= i < len(self.ints) else Fraction(0)
 
     def lc(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
+        den = lcm(self.den, other.den)
+        a = [den // self.den * c for c in self.ints]
+        b = [den // other.den * c for c in other.ints]
+        if len(a) < len(b):
+            a, b = b, a
+        for i, c in enumerate(b):
+            a[i] += c
+        return Poly._from_ints(a, den)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            tuple(self.coefficient(i) - other.coefficient(i) for i in range(n))
-        )
+        return self + -other
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._from_ints([-c for c in self.ints], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            (sa, a), (sb, b) = self._int_coeffs(), other._int_coeffs()
-            return Poly(Fraction(c, sa * sb) for c in poly_mul(a, b))
-        return Poly(tuple(c * Fraction(other) for c in self.coeffs))
+            return Poly._from_ints(poly_mul(self.ints, other.ints), self.den * other.den)
+        k = Fraction(other)
+        return Poly._from_ints([c * k.numerator for c in self.ints], self.den * k.denominator)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """With s*A = q*B + r for self = A/a and other = B/b:
+        self = (q*b / (s*a)) * other + r / (s*a)."""
         if other.is_zero:
             raise DomainError("division by the zero polynomial")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
-        r = list(self.coeffs)
-        dlc = other.lc()
-        db = other.degree
-        while len(r) - 1 >= db and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < db:
-                break
-            f = r[-1] / dlc
-            d = len(r) - 1 - db
-            q[d] = f
-            for i, bc in enumerate(other.coeffs):
-                r[i + d] -= f * bc
-            r.pop()
-        return Poly(q), Poly(r)
+        q, r, s = _pseudo_divmod(self.ints, other.ints)
+        return (
+            Poly._from_ints([c * other.den for c in q], s * self.den),
+            Poly._from_ints(r, s * self.den),
+        )
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self * (1 / self.lc())
+        return Poly._from_ints(self.ints, self.ints[-1]) if self.ints else self
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return Poly._from_ints([i * c for i, c in enumerate(self.ints)][1:], self.den)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor."""
@@ -219,41 +221,31 @@ class Poly:
             return other.monic()
         if other.is_zero:
             return self.monic()
-        a, b = self._int_coeffs()[1], other._int_coeffs()[1]
-        if _provably_coprime(a, b):
+        if _provably_coprime(self.ints, other.ints):
             return Poly.one()
-        g = _prs_gcd(a, b)
-        return Poly(g).monic()
+        return Poly._from_ints(_prs_gcd(self.ints, other.ints)).monic()
 
     def squarefree_part(self) -> "Poly":
         """Monic product of the distinct irreducible factors."""
         if self.is_zero:
             raise DomainError("the zero polynomial has no square-free part")
         g = self.gcd(self.derivative())
+        if g.degree == 0:
+            return self.monic()
         q, r = divmod(self, g)
         if not r.is_zero:
             raise ArithmeticError("gcd must divide exactly")
         return q.monic()
 
-    def _int_coeffs(self) -> tuple[int, list[int]]:
-        """(s, v): s is the least positive integer making s * self
-        integral, and v lists the coefficients of s * self."""
-        scale = lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-        return scale, [c.numerator * (scale // c.denominator) for c in self.coeffs]
-
     def eval_mp(self, z):
         """Horner evaluation at an mpmath number, in the caller's precision."""
-        from mpmath import mpf
-
         out = z * 0
-        for c in reversed(self.coeffs):
-            out = out * z + mpf(c.numerator) / c.denominator
-        return out
+        for c in reversed(self.ints):
+            out = out * z + c
+        return out / self.den
 
     def to_text(self) -> str:
-        if self.is_zero:
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(str(c) for c in self.coeffs) or "0"
 
     @classmethod
     def from_text(cls, text: str) -> "Poly":
@@ -263,8 +255,6 @@ class Poly:
             raise ParseError(f"bad polynomial text {text!r}") from exc
 
     def pretty(self, var: str = "x") -> str:
-        if self.is_zero:
-            return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -280,7 +270,7 @@ class Poly:
                 body = coeff + power
             sign = "-" if c < 0 else ("+" if parts else "")
             parts.append(sign + body)
-        return "".join(parts)
+        return "".join(parts) or "0"
 
     def __str__(self) -> str:
         return self.to_text()

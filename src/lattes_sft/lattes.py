@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from mpmath import mp, mpc
 
@@ -57,7 +57,8 @@ class EllipticCurve:
 @dataclass(frozen=True)
 class RationalMap:
     """A rational self-map num/den of the projective line, held in lowest
-    terms with integer-primitive coefficients and positive denominator lead."""
+    terms with integer-primitive coefficients and positive denominator lead;
+    so both ``num.den`` and ``den.den`` are 1."""
 
     num: Poly
     den: Poly
@@ -72,20 +73,12 @@ class RationalMap:
         if g.degree > 0:
             num //= g
             den //= g
-        scale = lcm(
-            *(c.denominator for c in num.coeffs), *(c.denominator for c in den.coeffs)
-        )
-        ni = [c.numerator * (scale // c.denominator) for c in num.coeffs]
-        di = [c.numerator * (scale // c.denominator) for c in den.coeffs]
-        content = 0
-        for v in ni + di:
-            content = gcd(content, abs(v))
-        ni = [v // content for v in ni]
-        di = [v // content for v in di]
-        if di[-1] < 0:
-            ni = [-v for v in ni]
-            di = [-v for v in di]
-        num, den = Poly(ni), Poly(di)
+        # num/den = (num.ints * den.den) / (den.ints * num.den)
+        ni = [c * den.den for c in num.ints]
+        di = [c * num.den for c in den.ints]
+        content = gcd(*ni, *di) * (-1 if di[-1] < 0 else 1)
+        num = Poly._from_ints([c // content for c in ni])
+        den = Poly._from_ints([c // content for c in di])
         if max(num.degree, den.degree) < 1:
             raise DomainError("constant map")
         object.__setattr__(self, "num", num)

@@ -183,3 +183,26 @@ def compose_fraction(f, g):
         num = num + f.num.coefficient(i) * cross
         den = den + f.den.coefficient(i) * cross
     return RationalMap(num, den)
+
+
+def poly_divmod_fraction(a, b):
+    """Reference division with remainder of Fraction coefficient lists,
+    lowest degree first, b trimmed and nonzero, by long division in
+    Fractions: (q, r) with a = q*b + r and deg r < deg b, both trimmed."""
+    from fractions import Fraction
+
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = [Fraction(c) for c in a]
+    while r and r[-1] == 0:
+        r.pop()
+    while len(r) >= len(b):
+        f = r[-1] / b[-1]
+        d = len(r) - len(b)
+        q[d] = f
+        for i, bc in enumerate(b):
+            r[i + d] -= f * bc
+        while r and r[-1] == 0:
+            r.pop()
+    while q and q[-1] == 0:
+        q.pop()
+    return q, r

@@ -282,6 +282,15 @@ class TestConfig:
         assert rc == 2
         assert "precision" in err
 
+    def test_precision_budget_exits_1(self, capsys):
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys, ["--precision", "4097", "periodic", "--curve", "4,2,0", "-n", "1"]
+        )
+        assert (rc, out) == (1, "")
+        assert "PRECISION_BUDGET = 4096" in err
+        assert time.perf_counter() - start < 10
+
     def test_bad_bounds_rejected(self, capsys):
         rc, _, _ = run(capsys, ["--entry-bound", "0", "verify"])
         assert rc == 2

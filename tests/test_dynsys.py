@@ -177,6 +177,23 @@ class TestIterate:
                 iterate(phi, n)
 
 
+class TestPrecisionBudget:
+    def test_over_budget_refused_before_any_work(self, monkeypatch):
+        assert dynsys.PRECISION_BUDGET == 4096
+
+        def no_start(coeffs, deg):
+            raise AssertionError("located roots past the budget")
+
+        monkeypatch.setattr(dynsys, "_initial_points", no_start)
+        with pytest.raises(BudgetExceededError, match="PRECISION_BUDGET = 4096"):
+            aberth_roots(P(-2, 0, 1), 4097)
+
+    def test_at_budget_runs(self):
+        phi = duplication_map(EllipticCurve(4, 2, 0))
+        rep = periodic_points(phi, 1, precision=dynsys.PRECISION_BUDGET)
+        assert rep.count_distinct == 5 and len(rep.finite_points) == 4
+
+
 class TestPeriodicPoints:
     def test_z2_fixed_points(self):
         rep = periodic_points(Z2, 1)

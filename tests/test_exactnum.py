@@ -13,7 +13,7 @@ from lattes_sft import (
     QuadElem,
     companion_matrix,
 )
-from oracles import poly_mul_schoolbook
+from oracles import poly_divmod_fraction, poly_mul_schoolbook
 
 SQF = [2, 3, 5, 6, 7, 10, 11, 13]
 
@@ -177,6 +177,19 @@ class TestPolyOps:
         # Poly clears denominators, multiplies in integers and rescales
         assert Poly(a) * Poly(b) == Poly(poly_mul_schoolbook(a, b))
 
+    @given(
+        st.lists(st.fractions(max_denominator=30), max_size=12),
+        st.lists(st.fractions(max_denominator=30), min_size=1, max_size=8).filter(
+            lambda v: v[-1] != 0
+        ),
+    )
+    def test_divmod_matches_fraction_long_division(self, a, b):
+        # equal values, and the same normal form as a Poly built from them
+        q, r = divmod(Poly(a), Poly(b))
+        q_ref, r_ref = poly_divmod_fraction(a, b)
+        assert q.coeffs == tuple(q_ref) and r.coeffs == tuple(r_ref)
+        assert (q, r) == (Poly(q_ref), Poly(r_ref))
+
     def test_derivative(self):
         assert P(5, 3, 0, 2).derivative() == P(3, 0, 6)
 
@@ -189,6 +202,39 @@ class TestPolyOps:
         assert P(1, 0, -2).pretty("t") == "1-2t^2"
         assert P(0, 1).pretty() == "x"
         assert Poly().pretty() == "0"
+
+
+nonzero_fractions = st.fractions(max_denominator=10**6).filter(lambda k: k != 0)
+
+
+@given(st.lists(st.fractions(max_denominator=10**6), max_size=12), nonzero_fractions)
+def test_poly_normal_form(cs, k):
+    # ints over den in lowest terms is unique, so a scaled copy scaled back
+    # is the same object: equal ints, den and hash
+    p = Poly(cs)
+    trimmed = list(cs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    assert p.coeffs == tuple(trimmed)
+    assert p.den > 0 and gcd(p.den, *p.ints) == 1
+    back = Poly([k * c for c in cs]) * (1 / k)
+    assert back == p
+    assert (back.ints, back.den, hash(back)) == (p.ints, p.den, hash(p))
+
+
+def test_squarefree_part_of_squarefree_divides_nothing(monkeypatch):
+    # gcd(F, F') = 1 certifies F square-free, so F's monic form is returned
+    # without a division by the constant gcd
+    def no_divmod(self, other):
+        raise AssertionError("divided by a constant gcd")
+
+    F = P(-1, 1) * P(2, 1) * P(3, Fraction(5, 2))
+    # P - x*Q for the doubling map P/Q of y^2 = x^3 + 4x^2 + 2x: its roots
+    # are the four finite fixed points
+    lattes_F = P(4, 0, -4, 0, 1) - P(0, 1) * P(0, 8, 16, 4)
+    monkeypatch.setattr(Poly, "__divmod__", no_divmod)
+    assert F.squarefree_part() == P(-1, 1) * P(2, 1) * P(Fraction(6, 5), 1)
+    assert lattes_F.squarefree_part() == lattes_F.monic()
 
 
 def _random_poly(rng, max_deg=6):

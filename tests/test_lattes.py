@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from mpmath import mp, mpc
@@ -151,6 +152,24 @@ class TestRationalMap:
         assert m.num == P(0, 1) and m.den == P(1, 1)
         m2 = RationalMap(P(-1, 0, 1), P(-1, 1))  # (x^2-1)/(x-1) = x+1 ... reduced
         assert m2.num == P(1, 1) and m2.den == P(1)
+
+    @pytest.mark.parametrize("k", [-1, 2, Fraction(1, 3), Fraction(-5, 7)])
+    def test_scaling_invariant(self, k):
+        # a common scalar changes nothing: integer-primitive num and den over
+        # the denominator 1, with a positive denominator lead
+        rng = random.Random(89)
+        maps = [
+            (P(4, 0, -4, 0, 1), P(0, 8, 16, 4)),
+            (P(Fraction(1, 2), 0, 3), P(-2, Fraction(4, 3))),
+        ]
+        for E in (random_nonsingular_curve(rng) for _ in range(3)):
+            phi = duplication_map(E)
+            maps.append((phi.num, phi.den))
+        for num, den in maps:
+            m = RationalMap(num * k, den * k)
+            assert m == RationalMap(num, den)
+            assert m.num.den == m.den.den == 1 and m.den.ints[-1] > 0
+            assert gcd(*m.num.ints, *m.den.ints) == 1
 
     def test_denominator_sign_normalized(self):
         m = RationalMap(P(0, 1), P(-1))
