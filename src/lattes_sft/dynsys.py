@@ -134,15 +134,19 @@ def _initial_points(coeffs, deg):
     return z
 
 
+def _check_precision(precision: int) -> None:
+    if precision > PRECISION_BUDGET:
+        raise BudgetExceededError(
+            f"precision of {precision} bits exceeds PRECISION_BUDGET = {PRECISION_BUDGET}"
+        )
+
+
 def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200):
     """All complex roots of a square-free polynomial by simultaneous
     (Aberth-Ehrlich) iteration; deterministic start, deterministic order.
     Raises BudgetExceededError before any work when precision exceeds
     PRECISION_BUDGET."""
-    if precision > PRECISION_BUDGET:
-        raise BudgetExceededError(
-            f"precision of {precision} bits exceeds PRECISION_BUDGET = {PRECISION_BUDGET}"
-        )
+    _check_precision(precision)
     if p.degree <= 0:
         return []
     zero_roots = 0
@@ -248,7 +252,9 @@ def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
 
 
 def periodic_points(phi: RationalMap, n: int, precision: int = 128) -> PeriodicReport:
-    """Solutions of phi^n(x) = x with exact counts and float locations."""
+    """Solutions of phi^n(x) = x with exact counts and float locations;
+    checks PRECISION_BUDGET before the exact work."""
+    _check_precision(precision)
     count = periodic_count(phi, n)
     pts = tuple(
         sorted(

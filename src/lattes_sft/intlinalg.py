@@ -9,15 +9,18 @@ maps of ``dynsys.conjugate`` included; its product ``mat2_mul`` also runs
 on the bare 4-tuples of ``cfrac.period_matrix``, and ``matrix_text`` is
 the one text form of a matrix.  Everything here is pure and exact:
 products, characteristic polynomials, Smith normal form with unimodular
-transforms, and bounded enumeration of the integer solution lattice of a
-Sylvester constraint A X = X B.
+transforms, and bounded enumeration, in increasing order, of the integer
+solution lattice of a Sylvester constraint A X = X B and of its points
+with f(X) = C for a linear map f (``lattice_solutions``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import add, le, mul, sub
 
 from .errors import BudgetExceededError
 
@@ -26,6 +29,10 @@ Rows = tuple[tuple[int, ...], ...]
 # Largest trial divisor of square_part; a cofactor left below its cube has
 # at most two prime factors and is split exactly.
 TRIAL_DIVISION_BOUND = 2**20
+
+# Most points one lattice_points_in_box enumeration reaches: 2 * 10^5 points
+# of a 16-entry box take about 1 s.
+BOX_POINT_BUDGET = 2 * 10**5
 
 
 def is_square(n: int) -> bool:
@@ -190,22 +197,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def ceil_div(a: int, b: int) -> int:
-    """ceil(a / b) for b > 0."""
-    return -((-a) // b)
-
-
 def identity(n: int) -> Rows:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul(A, B) -> Rows:
-    p = len(B[0])
-    m = len(B)
-    return tuple(
-        tuple(sum(row[k] * B[k][j] for k in range(m)) for j in range(p))
-        for row in A
-    )
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 def mat_pow(A, e: int) -> Rows:
@@ -383,14 +381,11 @@ def smith_diagonal(M) -> tuple[int, ...]:
 
 
 def kernel_basis(M) -> list[tuple[int, ...]]:
-    """Basis of the saturated integer kernel lattice {x : M x = 0}."""
+    """Echelon basis of the integer kernel lattice {x : M x = 0}: the columns
+    of the echelon form of M stacked on the identity with zero M part."""
     m, n = len(M), len(M[0])
-    D, _, V = smith_normal_form(M)
-    cols = []
-    for i in range(n):
-        if i >= m or D[i][i] == 0:
-            cols.append(tuple(V[r][i] for r in range(n)))
-    return cols
+    graph = [tuple(row[j] for row in M) + e for j, e in enumerate(identity(n))]
+    return [c[m:] for c in column_echelon(graph) if not any(c[:m])]
 
 
 def column_echelon(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -433,71 +428,78 @@ def column_echelon(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(c) for c in out]
 
 
-def lattice_points_in_box(
-    cols: list[tuple[int, ...]], N: int, lo: int, hi: int
-) -> list[tuple[int, ...]]:
-    """All vectors of the lattice spanned by echelon columns with every
-    coordinate in [lo, hi]."""
-    if lo > hi:
-        return []
-    if not cols:
-        return [tuple([0] * N)] if lo <= 0 <= hi else []
-    d = len(cols)
-    pivots = [next(r for r in range(N) if c[r] != 0) for c in cols]
-    if lo > 0 or hi < 0:
-        if pivots[0] > 0:
-            return []  # leading zero rows force coordinates outside the box
-    out: list[tuple[int, ...]] = []
-    partial = [0] * N
+def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi) -> Iterator[tuple[int, ...]]:
+    """The vectors of the lattice spanned by echelon columns with coordinate
+    r in [lo[r], hi[r]], in increasing lexicographic order; an int bound is
+    the bound of every coordinate.  Raises BudgetExceededError on reaching
+    a point past the first BOX_POINT_BUDGET."""
+    lo = (lo,) * N if isinstance(lo, int) else tuple(lo)
+    hi = (hi,) * N if isinstance(hi, int) else tuple(hi)
+    pivots = [next(r for r in range(N) if c[r] != 0) for c in cols] + [N]
+    count = 0
 
-    def rec(i: int) -> None:
-        if i == d:
-            if all(lo <= partial[r] <= hi for r in range(pivots[-1] + 1, N)):
-                out.append(tuple(partial))
-            return
-        p = pivots[i]
-        col = cols[i]
-        h = col[p]
-        cmin = ceil_div(lo - partial[p], h)
-        cmax = (hi - partial[p]) // h
-        if cmin > cmax:
-            return
-        for r in range(p, N):
-            partial[r] += cmin * col[r]
-        c = cmin
-        while True:
-            nxt = pivots[i + 1] if i + 1 < d else N
-            if all(lo <= partial[r] <= hi for r in range(p, nxt)):
-                rec(i + 1)
-            if c == cmax:
-                break
-            c += 1
-            for r in range(p, N):
-                partial[r] += col[r]
-        for r in range(p, N):
-            partial[r] -= cmax * col[r]
+    def inside(v, r0: int, r1: int) -> bool:
+        part = v[r0:r1]
+        return all(map(le, lo[r0:r1], part)) and all(map(le, part, hi[r0:r1]))
 
-    rec(0)
-    return out
+    # depth first: the rows of a node's v above pivots[i] are in the box and
+    # fixed below it, and v grows with the coefficient of column i
+    stack = [(0, (0,) * N)] if inside((0,) * N, 0, pivots[0]) else []
+    while stack:
+        i, v = stack.pop()
+        if i == len(cols):
+            if count == BOX_POINT_BUDGET:
+                raise BudgetExceededError(f"more than BOX_POINT_BUDGET = {BOX_POINT_BUDGET} box points")
+            count += 1
+            yield v
+            continue
+        p, col = pivots[i], cols[i]
+        cmin = -((v[p] - lo[p]) // col[p])
+        cmax = (hi[p] - v[p]) // col[p]
+        v = tuple(map(add, v, map(cmax.__mul__, col)))
+        for _ in range(cmin, cmax + 1):  # pushed largest first, so popped smallest first
+            if inside(v, p, pivots[i + 1]):
+                stack.append((i + 1, v))
+            v = tuple(map(sub, v, col))
+
+
+def _matrix(v, n: int) -> Rows:
+    return tuple(tuple(v[i * n : i * n + n]) for i in range(n))
+
+
+def sylvester_basis(A, B) -> list[tuple[int, ...]]:
+    """Echelon basis of the integer lattice {X : A X = X B}, each X
+    flattened row by row: the kernel of X -> A X - X B, whose matrix has
+    the images of the unit matrices for columns."""
+    n = len(A)
+    units = [_matrix(e, n) for e in identity(n * n)]
+    images = [mat_sub(mat_mul(A, E), mat_mul(E, B)) for E in units]
+    return kernel_basis(transpose([sum(X, ()) for X in images]))
 
 
 def sylvester_solutions(A, B, lo: int, hi: int) -> list[Rows]:
-    """Integer matrices X with A X = X B and every entry in [lo, hi]."""
+    """Integer matrices X with A X = X B and every entry in [lo, hi], in
+    increasing order."""
     n = len(A)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            coef = [0] * (n * n)
-            for k in range(n):
-                coef[k * n + j] += A[i][k]
-            for l in range(n):
-                coef[i * n + l] -= B[l][j]
-            rows.append(tuple(coef))
-    ech = column_echelon(kernel_basis(tuple(rows)))
-    pts = lattice_points_in_box(ech, n * n, lo, hi)
-    return [
-        tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)) for v in pts
+    return [_matrix(v, n) for v in lattice_points_in_box(sylvester_basis(A, B), n * n, lo, hi)]
+
+
+def lattice_solutions(basis, n: int, f, C, lo: int, hi: int) -> Iterator[Rows]:
+    """Matrices X of the lattice with echelon basis ``basis`` (n x n
+    matrices X_i, flattened) with f(X) = C and every entry in [lo, hi], in
+    increasing order; f is an integer-linear map from matrices to matrices.
+
+    The points (t, X = sum c_i X_i) with f(X) = t C are the kernel of
+    (t, c) -> sum c_i f(X_i) - t C carried to (t, X): one column echelon
+    form, as in ``kernel_basis``, and enumerated at t = 1."""
+    N = n * n
+    graph = [tuple(-v for row in C for v in row) + (1,) + (0,) * N] + [
+        tuple(v for row in f(_matrix(b, n)) for v in row) + (0,) + tuple(b) for b in basis
     ]
+    m = len(graph[0]) - N - 1
+    ech = [c[m:] for c in column_echelon(graph) if not any(c[:m])]
+    for v in lattice_points_in_box(ech, N + 1, [1] + [lo] * N, [1] + [hi] * N):
+        yield _matrix(v[1:], n)
 
 
 def solve_right(R, C):

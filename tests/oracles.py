@@ -206,3 +206,71 @@ def poly_divmod_fraction(a, b):
     while q and q[-1] == 0:
         q.pop()
     return q, r
+
+
+def shift_equivalent_scan(A, B, entry_bound: int = 10, lag_bound: int = 6,
+                          budget: int = 2 * 10**6):
+    """Reference shift-equivalence search with two paths: a nonsingular R
+    gets its only candidate S = R^-1 A^k by Gauss-Jordan elimination in
+    Fractions, a singular R scans every S of the Sylvester box in
+    increasing order; ``budget`` counts the S scanned.  Shares the
+    pre-filters and the list of R candidates with ``sft.shift_equivalent``."""
+    from lattes_sft.intlinalg import (
+        identity, mat_mul, mat_pow, solve_right, sylvester_solutions,
+    )
+    from lattes_sft.sft import (
+        SECertificate, SEResult, _nonsingular_charpoly, _poly_text, k_invariants,
+    )
+
+    if A == B:
+        cert = SECertificate.build(A, B, identity(A.n), A.rows, 1)
+        return SEResult("equivalent", certificate=cert)
+    pa, pb = _nonsingular_charpoly(A.rows), _nonsingular_charpoly(B.rows)
+    if pa != pb:
+        return SEResult(
+            "not_equivalent",
+            witness=(
+                "characteristic polynomials of the nonsingular parts differ "
+                f"(trace/determinant data): {_poly_text(pa)} vs {_poly_text(pb)}"
+            ),
+        )
+    bfa, bfb = k_invariants(A).bowen_franks, k_invariants(B).bowen_franks
+    if bfa != bfb:
+        return SEResult(
+            "not_equivalent", witness=f"Bowen-Franks groups differ: {bfa} vs {bfb}"
+        )
+    r_cands = sorted(sylvester_solutions(A.rows, B.rows, 0, entry_bound))
+    s_cands = sorted(sylvester_solutions(B.rows, A.rows, 0, entry_bound))
+    work = 0
+    for k in range(1, lag_bound + 1):
+        Ak = mat_pow(A.rows, k)
+        Bk = mat_pow(B.rows, k)
+        for R in r_cands:
+            sol = solve_right(R, Ak)
+            if sol is not None:
+                if any(v.denominator != 1 for row in sol for v in row):
+                    continue
+                S = tuple(tuple(int(v) for v in row) for row in sol)
+                if any(v < 0 or v > entry_bound for row in S for v in row):
+                    continue
+                if mat_mul(B.rows, S) == mat_mul(S, A.rows) and mat_mul(S, R) == Bk:
+                    return SEResult(
+                        "equivalent", certificate=SECertificate.build(A, B, R, S, k)
+                    )
+            else:
+                for S in s_cands:
+                    work += 1
+                    if work > budget:
+                        return SEResult(
+                            "unknown",
+                            witness="search budget exceeded before exhausting bounds",
+                        )
+                    if mat_mul(R, S) == Ak and mat_mul(S, R) == Bk:
+                        return SEResult(
+                            "equivalent",
+                            certificate=SECertificate.build(A, B, R, S, k),
+                        )
+    return SEResult(
+        "unknown",
+        witness=f"no certificate with entries <= {entry_bound} and lag <= {lag_bound}",
+    )

@@ -209,6 +209,21 @@ class TestShiftEquiv:
         rc, _, err = run(capsys, ["shift-equiv", "--A", "2", "--B", "0,1;1,0"])
         assert rc == 1
 
+    def test_huge_candidate_box_is_unknown_in_seconds(self, capsys):
+        # 11^10 candidates for R; the box budget stops listing them
+        start = time.perf_counter()
+        rc, out, _ = run(
+            capsys,
+            ["shift-equiv", "--A", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,2",
+             "--B", "2,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"],
+        )
+        assert rc == 0
+        assert out == (
+            "status: unknown\n"
+            "witness: search budget exceeded before exhausting bounds\n"
+        )
+        assert time.perf_counter() - start < 5
+
 
 class TestPeriodic:
     def test_map(self, capsys):

@@ -188,6 +188,15 @@ class TestPrecisionBudget:
         with pytest.raises(BudgetExceededError, match="PRECISION_BUDGET = 4096"):
             aberth_roots(P(-2, 0, 1), 4097)
 
+    def test_periodic_points_refuses_before_counting(self, monkeypatch):
+        def no_count(phi, n):
+            raise AssertionError("counted past the budget")
+
+        monkeypatch.setattr(dynsys, "periodic_count", no_count)
+        phi = duplication_map(EllipticCurve(4, 2, 0))
+        with pytest.raises(BudgetExceededError, match="PRECISION_BUDGET = 4096"):
+            periodic_points(phi, 5, precision=5000)
+
     def test_at_budget_runs(self):
         phi = duplication_map(EllipticCurve(4, 2, 0))
         rep = periodic_points(phi, 1, precision=dynsys.PRECISION_BUDGET)

@@ -1,7 +1,10 @@
+import itertools
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lattes_sft import BudgetExceededError, intlinalg
 from lattes_sft.intlinalg import (
     charpoly,
     column_echelon,
@@ -9,6 +12,7 @@ from lattes_sft.intlinalg import (
     identity,
     kernel_basis,
     lattice_points_in_box,
+    lattice_solutions,
     mat_mul,
     mat_pow,
     mat_sub,
@@ -16,6 +20,7 @@ from lattes_sft.intlinalg import (
     smith_diagonal,
     smith_normal_form,
     solve_right,
+    sylvester_basis,
     sylvester_solutions,
     transpose,
     xgcd,
@@ -101,6 +106,24 @@ def test_kernel_basis():
             assert basis
 
 
+def test_kernel_basis_is_hermite_form_of_smith_kernel():
+    # second route: the columns of V in M V = U^-1 D at the zero diagonal
+    # entries span the same lattice, so their echelon form is the same
+    rng = random.Random(29)
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        M = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
+        if rng.random() < 0.3:
+            M = M + (tuple(a + b for a, b in zip(M[0], M[-1])),)
+        D, _, V = smith_normal_form(M)
+        smith = [
+            tuple(V[r][i] for r in range(n))
+            for i in range(n)
+            if i >= len(M) or D[i][i] == 0
+        ]
+        assert kernel_basis(M) == column_echelon(smith)
+
+
 def test_column_echelon_and_box_enumeration():
     rng = random.Random(13)
     for _ in range(40):
@@ -145,6 +168,63 @@ def test_box_enumeration_signed_window():
             if all(-2 <= x <= 2 for x in v):
                 brute.add(v)
         assert pts == brute
+
+
+def test_box_enumeration_is_increasing_with_per_coordinate_bounds():
+    rng = random.Random(31)
+    for _ in range(40):
+        N = rng.choice((2, 3, 4))
+        cols = [tuple(rng.randint(-3, 3) for _ in range(N)) for _ in range(rng.randint(0, 3))]
+        ech = column_echelon(cols)
+        lo = [rng.randint(-3, 1) for _ in range(N)]
+        hi = [a + rng.randint(0, 4) for a in lo]
+        pts = list(lattice_points_in_box(ech, N, lo, hi))
+        assert pts == sorted(set(pts))
+        brute = set()
+        for combo in itertools.product(range(-12, 13), repeat=len(ech)):
+            v = tuple(sum(c * col[r] for c, col in zip(combo, ech)) for r in range(N))
+            if all(a <= x <= b for a, x, b in zip(lo, v, hi)):
+                brute.add(v)
+        assert set(pts) == brute
+        # an int bound is the bound of every coordinate
+        assert list(lattice_points_in_box(ech, N, lo[0], hi[0])) == list(
+            lattice_points_in_box(ech, N, [lo[0]] * N, [hi[0]] * N)
+        )
+
+
+def test_box_point_budget(monkeypatch):
+    # the commutant of a 2x2 scalar matrix is every matrix: 3^4 points in [0, 2]
+    basis = sylvester_basis(((1, 0), (0, 1)), ((1, 0), (0, 1)))
+    assert len(list(lattice_points_in_box(basis, 4, 0, 2))) == 81
+    monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", 81)
+    assert len(sylvester_solutions(((1, 0), (0, 1)), ((1, 0), (0, 1)), 0, 2)) == 81
+    monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", 80)
+    with pytest.raises(BudgetExceededError, match="BOX_POINT_BUDGET = 80"):
+        sylvester_solutions(((1, 0), (0, 1)), ((1, 0), (0, 1)), 0, 2)
+    # a stream read only up to its first point never reaches the budget
+    monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", 1)
+    assert next(lattice_points_in_box(basis, 4, 0, 2)) == (0, 0, 0, 0)
+
+
+def test_lattice_solutions_match_filtered_sylvester_solutions():
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        A = rand_matrix(rng, n, 0, 2)
+        B = rng.choice((A, rand_matrix(rng, n, 0, 2)))
+        box = sylvester_solutions(A, B, 0, 3)
+        # a right-hand side with solutions, or an arbitrary one
+        R = rand_matrix(rng, n, 0, 2)
+        C = mat_mul(R, rng.choice(box)) if rng.random() < 0.7 else rand_matrix(rng, n, 0, 4)
+        got = list(lattice_solutions(sylvester_basis(A, B), n, lambda X: mat_mul(R, X), C, 0, 3))
+        assert got == [X for X in box if mat_mul(R, X) == C]
+    # the zero lattice: X = 0 solves R X = C exactly when C = 0
+    empty = sylvester_basis(((1, 0), (0, 1)), ((2, 0), (0, 2)))
+    assert empty == []
+    zero = ((0, 0), (0, 0))
+    R = ((1, 2), (0, 1))
+    assert list(lattice_solutions(empty, 2, lambda X: mat_mul(R, X), zero, 0, 3)) == [zero]
+    assert list(lattice_solutions(empty, 2, lambda X: mat_mul(R, X), R, 0, 3)) == []
 
 
 def test_sylvester_solutions_satisfy_constraint():

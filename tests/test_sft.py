@@ -21,7 +21,9 @@ from lattes_sft import (
     shift_equivalent,
     zeta_sft,
 )
-from oracles import random_unimodular
+from lattes_sft import intlinalg, sft
+from lattes_sft.intlinalg import mat_mul
+from oracles import random_unimodular, shift_equivalent_scan
 
 A_WORKED = SFTMatrix(((0, 1), (2, 0)))
 B_WORKED = SFTMatrix(((0, 2), (1, 0)))
@@ -253,6 +255,57 @@ class TestShiftEquivalent:
         with pytest.raises(DomainError):
             shift_equivalent(SFTMatrix(((1,),)), A_WORKED)
 
+    def test_roadmap_example_at_default_bounds(self):
+        # the same certificate as at entry bound 2: raising the bound past the
+        # least certificate must not lose it
+        A = SFTMatrix.parse("1,0,0;0,1,0;0,0,2")
+        B = SFTMatrix.parse("2,0,0;0,1,0;0,0,1")
+        for bound in (2, 10):
+            res = shift_equivalent(A, B, entry_bound=bound)
+            assert res.status == "equivalent"
+            cert = res.certificate
+            assert (cert.R, cert.S, cert.k) == (
+                ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+                ((0, 0, 2), (0, 1, 0), (1, 0, 0)),
+                1,
+            )
+
+    def test_exhausts_bounds_past_the_invariants(self):
+        # equal charpoly and Bowen-Franks group, but not similar over Q; every
+        # (lag, R) in the bounds is solved and none has an S
+        A = SFTMatrix.parse("2,0,0;0,2,0;0,0,3")
+        B = SFTMatrix.parse("2,1,0;0,2,0;0,0,3")
+        assert k_invariants(A).bowen_franks == k_invariants(B).bowen_franks
+        res = shift_equivalent(A, B)
+        assert res.status == "unknown"
+        assert res.witness == "no certificate with entries <= 10 and lag <= 6"
+
+    def test_search_budget_counts_system_entries(self, monkeypatch):
+        A = SFTMatrix.parse("2,0,0;0,2,0;0,0,3")
+        B = SFTMatrix.parse("2,1,0;0,2,0;0,0,3")
+        assert sft.SEARCH_BUDGET == 5 * 10**6
+        solves = []
+        real = sft.lattice_solutions
+        monkeypatch.setattr(
+            sft, "lattice_solutions", lambda *a: solves.append(1) or real(*a)
+        )
+        # a 3-dimensional lattice of S: 18 equations in 4 unknowns per solve
+        monkeypatch.setattr(sft, "SEARCH_BUDGET", 5 * 72 + 71)
+        res = shift_equivalent(A, B)
+        assert res.status == "unknown"
+        assert res.witness == "search budget exceeded before exhausting bounds"
+        assert len(solves) == 5
+
+    def test_box_point_budget_is_the_search_budget_witness(self, monkeypatch):
+        # 11^5 R candidates at entry bound 10, 3^5 at entry bound 2
+        A = SFTMatrix.parse("1,0,0;0,1,0;0,0,2")
+        B = SFTMatrix.parse("2,0,0;0,1,0;0,0,1")
+        monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", 1000)
+        res = shift_equivalent(A, B)
+        assert res.status == "unknown"
+        assert res.witness == "search budget exceeded before exhausting bounds"
+        assert shift_equivalent(A, B, entry_bound=2).status == "equivalent"
+
     def test_certificate_build_rejects_junk(self):
         with pytest.raises(DomainError):
             SECertificate.build(
@@ -311,3 +364,64 @@ class TestGl2zSimilar:
         assert res.status in ("unknown", "similar")
         res_big = gl2z_similar(A, B, bound=20)
         assert res_big.status == "similar"
+
+
+def _random_pair(rng: random.Random):
+    """A permutation-conjugate pair, an elementary pair (R S, S R) or two
+    random matrices, 2x2 or 3x3."""
+    n = rng.choice((2, 3))
+
+    def rand(hi):
+        return tuple(tuple(rng.randint(0, hi) for _ in range(n)) for _ in range(n))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        A = rand(3)
+        p = list(range(n))
+        rng.shuffle(p)
+        B = tuple(tuple(A[p[i]][p[j]] for j in range(n)) for i in range(n))
+    elif kind == 1:
+        R, S = rand(2), rand(2)
+        A, B = mat_mul(R, S), mat_mul(S, R)
+    else:
+        A, B = rand(3), rand(3)
+    return SFTMatrix(A), SFTMatrix(B)
+
+
+BUDGET_WITNESS = "search budget exceeded before exhausting bounds"
+
+
+def test_matches_two_path_scan():
+    # the one lattice solve per (lag, R) against the reference that solves
+    # a nonsingular R in Fractions and scans every S for a singular one
+    rng = random.Random(211)
+    compared = 0
+    for _ in range(150):
+        A, B = _random_pair(rng)
+        for bounds in ((2, 2), (3, 2), (4, 3)):
+            ref = shift_equivalent_scan(A, B, *bounds)
+            if ref.witness == BUDGET_WITNESS:
+                continue
+            assert shift_equivalent(A, B, *bounds) == ref, (A, B, bounds)
+            compared += 1
+    assert compared >= 400
+
+
+def test_verdict_monotone_in_bounds():
+    # raising either bound keeps every certificate in the search, and the
+    # search is exhaustive below its budget
+    rng = random.Random(223)
+    checked = 0
+    for _ in range(100):
+        A, B = _random_pair(rng)
+        b, lag = rng.randint(1, 3), rng.randint(1, 2)
+        small = shift_equivalent(A, B, b, lag)
+        if small.status != "equivalent":
+            continue
+        checked += 1
+        for bounds in ((b + 1, lag), (b, lag + 1), (b + 2, lag + 1)):
+            large = shift_equivalent(A, B, *bounds)
+            if large.witness != BUDGET_WITNESS:
+                assert large.status == "equivalent", (A, B, bounds)
+                assert large.certificate.k <= small.certificate.k
+    assert checked >= 30
