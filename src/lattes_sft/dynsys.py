@@ -14,10 +14,26 @@ Counts are symbolic (degrees of exact polynomials) and come from
 ``periodic_count`` alone; the floating root finder runs only in
 ``periodic_points``, locates the finitely many distinct finite periodic
 points and never feeds back into a count.
+
+Root location (``aberth_roots``) runs Aberth's simultaneous iteration in
+two phases from one deterministic start.  Up to max_sweeps sweeps run in
+machine complex numbers on the integer coefficients, scaled by a power of
+two, with the polynomial reversed past |z| = 1 so that no power of z
+overflows; up to max_sweeps more polish the result in mpmath at
+precision + 32 bits, or start over from the same start when a float
+stopped being finite.  The polish converges when every step is below
+2^(10 - precision) max(|z|, 2^-precision); when it stalls short of that,
+its working precision grows by GUARD_STEP bits.  After convergence a real
+or imaginary part within that tolerance is reported as exactly 0, so the
+output does not depend on the path the iteration took.
+``periodic_points`` refuses a map of degree d at period n before any
+exact work when d^n exceeds ROOT_DEGREE_BUDGET.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +55,22 @@ ITERATE_DEGREE_BUDGET = 4**5
 # Largest root-location precision in bits: ``periodic -n 2`` takes 1.8 s at
 # 4096 bits and 215 s at 65536 bits on a 2-core container.
 PRECISION_BUDGET = 4096
+
+# Largest degree phi.degree^n whose periodic points ``periodic_points``
+# locates: on a 2-core container the doubling map of (4,2,0) takes 0.7 s
+# at n = 3 (degree 64) and the D = 11 model about 5 s; at n = 4 (degree
+# 256) the doubling map of (4,2,0) runs for minutes.
+ROOT_DEGREE_BUDGET = 4**3
+
+# Root location.  The machine-float sweeps stop once every relative step is
+# below FLOAT_STEP, or when their largest step has not reached a new low for
+# FLOAT_PATIENCE sweeps.  The multiprecision sweeps stall when, with every
+# step below FLOAT_STEP, their largest step has not reached a new low for
+# STALL_SWEEPS sweeps; a stall adds GUARD_STEP bits of working precision.
+FLOAT_STEP = 1e-12
+FLOAT_PATIENCE = 10
+STALL_SWEEPS = 3
+GUARD_STEP = 64
 
 
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:
@@ -66,18 +98,19 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
     return RationalMap(Poly._from_ints(num), Poly._from_ints(den))
 
 
+def _check_degree(what: str, d: int, n: int, name: str, budget: int) -> None:
+    # d^min(n, b) > budget exactly when d^n > budget (2^b > budget), and
+    # never forms a huge power
+    if d ** min(n, budget.bit_length()) > budget:
+        raise BudgetExceededError(f"{what} of degree {d}^{n} exceeds {name} = {budget}")
+
+
 def iterate(f: RationalMap, n: int) -> RationalMap:
     """The n-th iterate f o ... o f; raises BudgetExceededError before any
     composition when its degree f.degree^n exceeds ITERATE_DEGREE_BUDGET."""
     if n < 1:
         raise DomainError("iteration count must be >= 1")
-    # d^min(n, b) > budget exactly when d^n > budget (2^b > budget), and
-    # never forms a huge power
-    if f.degree ** min(n, ITERATE_DEGREE_BUDGET.bit_length()) > ITERATE_DEGREE_BUDGET:
-        raise BudgetExceededError(
-            f"iterate of degree {f.degree}^{n} exceeds "
-            f"ITERATE_DEGREE_BUDGET = {ITERATE_DEGREE_BUDGET}"
-        )
+    _check_degree("iterate", f.degree, n, "ITERATE_DEGREE_BUDGET", ITERATE_DEGREE_BUDGET)
     out = f
     for _ in range(n - 1):
         out = compose(f, out)
@@ -141,11 +174,150 @@ def _check_precision(precision: int) -> None:
         )
 
 
+def _float_sweeps(ints, z, max_sweeps):
+    """Aberth sweeps in machine complex numbers on the integer coefficients
+    ints (lowest degree first, no zero root) from the points z, which are
+    updated in place; returns z, or None when a value stopped being finite.
+    The coefficients are scaled by one power of two to below 1 in size; at
+    |z| > 1 the Newton correction p/p' comes from the reversed polynomial
+    r(v) = v^d p(1/v) at v = 1/z, as z r / (d r - v r')."""
+    deg = len(ints) - 1
+    scale = 1 << max(abs(c).bit_length() for c in ints)
+    lo = [c / scale for c in ints]
+    hi = lo[::-1]
+    best, stale = math.inf, 0
+    try:
+        for _ in range(max_sweeps):
+            worst = 0.0
+            for i in range(deg):
+                zi = z[i]
+                p = dp = 0j
+                if abs(zi) <= 1:
+                    for c in hi:
+                        dp = dp * zi + p
+                        p = p * zi + c
+                    w = p / dp
+                else:
+                    v = 1 / zi
+                    for c in lo:
+                        dp = dp * v + p
+                        p = p * v + c
+                    w = zi * p / (deg * p - v * dp)
+                s = 0j
+                for j in range(deg):
+                    if j != i:
+                        s += 1 / (zi - z[j])
+                delta = w / (1 - w * s)
+                z[i] = zi = zi - delta
+                worst = max(worst, abs(delta) / max(abs(zi), 1e-300))
+            if worst < FLOAT_STEP:
+                break
+            if worst < best:
+                best, stale = worst, 0
+            else:
+                stale += 1
+                if stale >= FLOAT_PATIENCE:
+                    break
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return z if all(cmath.isfinite(v) for v in z) else None
+
+
+def _polish(q: Poly, z, precision: int, max_sweeps: int):
+    """Aberth sweeps in mpmath on q (no zero root) from the points z, at the
+    working precision the caller's ``mp.workprec`` sets (and restores after
+    a stall has raised it), until every step is below
+    2^(10 - precision) max(|z|, 2^-precision); returns the points with the
+    zero rule applied, or warns after max_sweeps and returns them as they
+    are.  A stall is counted only once every step is below FLOAT_STEP:
+    from there a run limited by the order of convergence shrinks its
+    largest step every sweep, and only one limited by its working precision
+    stalls."""
+    deg = q.degree
+    tol = mpf(2) ** (10 - precision)
+    floor_mag = mpf(2) ** (-precision)
+
+    def horner(cs, v):
+        out = mpc(0)
+        for c in reversed(cs):
+            out = out * v + c
+        return out
+
+    def rounded():
+        cs = [mpf(c.numerator) / c.denominator for c in q.coeffs]
+        return cs, [i * c for i, c in enumerate(cs)][1:]
+
+    coeffs, dcoeffs = rounded()
+    converged = False
+    best, stale = math.inf, 0
+    for _ in range(max_sweeps):
+        converged = True
+        worst = mpf(0)
+        for i in range(deg):
+            pv = horner(coeffs, z[i])
+            if pv == 0:
+                continue
+            dv = horner(dcoeffs, z[i])
+            if dv == 0:
+                z[i] += mpf(2) ** (-precision // 2)
+                converged = False
+                continue
+            w = pv / dv
+            ssum = mpc(0)
+            for j in range(deg):
+                if j != i:
+                    ssum += 1 / (z[i] - z[j])
+            denom = 1 - w * ssum
+            if denom == 0:
+                z[i] += mpf(2) ** (-precision // 2)
+                converged = False
+                continue
+            delta = w / denom
+            z[i] -= delta
+            step = abs(delta) / max(abs(z[i]), floor_mag)
+            if step > tol:
+                converged = False
+                worst = max(worst, step)
+        if converged:
+            break
+        if worst < best:
+            best, stale = worst, 0
+        elif worst < FLOAT_STEP:
+            stale += 1
+            if stale >= STALL_SWEEPS:
+                mp.prec += GUARD_STEP
+                coeffs, dcoeffs = rounded()
+                best, stale = math.inf, 0
+    if not converged:
+        warnings.warn(
+            "root refinement did not converge at this precision; "
+            "counts remain exact",
+            RuntimeWarning,
+        )
+        return z
+
+    out = []
+    for v in z:
+        bound = tol * max(abs(v), floor_mag)
+        out.append(mpc(v.real if abs(v.real) > bound else 0, v.imag if abs(v.imag) > bound else 0))
+    return out
+
+
 def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200):
     """All complex roots of a square-free polynomial by simultaneous
     (Aberth-Ehrlich) iteration; deterministic start, deterministic order.
-    Raises BudgetExceededError before any work when precision exceeds
-    PRECISION_BUDGET."""
+
+    Zero roots are split off first.  From ``_initial_points``, up to
+    max_sweeps Gauss-Seidel sweeps run in machine complex numbers
+    (``_float_sweeps``), then up to max_sweeps sweeps at precision + 32
+    bits (``_polish``) from their result, or from the start itself when the
+    float sweeps failed.  The second phase converges once every step is
+    below 2^(10 - precision) max(|z|, 2^-precision); when it stalls, its
+    working precision rises by GUARD_STEP bits inside the same max_sweeps.
+    Once converged, a real or imaginary part no larger than that tolerance
+    is reported as exactly 0 (the zero rule).  A run that does not converge
+    warns and returns its last points.  Raises BudgetExceededError before
+    any work when precision exceeds PRECISION_BUDGET."""
     _check_precision(precision)
     if p.degree <= 0:
         return []
@@ -157,53 +329,11 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200):
     with mp.workprec(precision + 32):
         if q.degree > 0:
             coeffs = [mpf(c.numerator) / c.denominator for c in q.coeffs]
-            dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-            deg = q.degree
-            z = _initial_points(coeffs, deg)
-            tol = mpf(2) ** (10 - precision)
-            floor_mag = mpf(2) ** (-precision)
-
-            def horner(cs, v):
-                out = mpc(0)
-                for c in reversed(cs):
-                    out = out * v + c
-                return out
-
-            converged = False
-            for _ in range(max_sweeps):
-                converged = True
-                for i in range(deg):
-                    pv = horner(coeffs, z[i])
-                    if pv == 0:
-                        continue
-                    dv = horner(dcoeffs, z[i])
-                    if dv == 0:
-                        z[i] += mpf(2) ** (-precision // 2)
-                        converged = False
-                        continue
-                    w = pv / dv
-                    ssum = mpc(0)
-                    for j in range(deg):
-                        if j != i:
-                            ssum += 1 / (z[i] - z[j])
-                    denom = 1 - w * ssum
-                    if denom == 0:
-                        z[i] += mpf(2) ** (-precision // 2)
-                        converged = False
-                        continue
-                    delta = w / denom
-                    z[i] -= delta
-                    if abs(delta) > tol * max(abs(z[i]), floor_mag):
-                        converged = False
-                if converged:
-                    break
-            if not converged:
-                warnings.warn(
-                    "root refinement did not converge at this precision; "
-                    "counts remain exact",
-                    RuntimeWarning,
-                )
-            roots.extend(z)
+            z = _initial_points(coeffs, q.degree)
+            fz = _float_sweeps(q.ints, [complex(v) for v in z], max_sweeps)
+            if fz is not None:
+                z = [mpc(v) for v in fz]
+            roots = _polish(q, z, precision, max_sweeps)
         roots.extend(mpc(0) for _ in range(zero_roots))
         roots.sort(key=lambda v: (v.real, v.imag))
     return roots
@@ -252,9 +382,14 @@ def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
 
 
 def periodic_points(phi: RationalMap, n: int, precision: int = 128) -> PeriodicReport:
-    """Solutions of phi^n(x) = x with exact counts and float locations;
-    checks PRECISION_BUDGET before the exact work."""
+    """Solutions of phi^n(x) = x with exact counts and float locations.
+    Before the exact work it checks PRECISION_BUDGET, then the
+    ITERATE_DEGREE_BUDGET that ``iterate`` applies, then
+    ROOT_DEGREE_BUDGET."""
     _check_precision(precision)
+    d = phi.degree
+    _check_degree("iterate", d, n, "ITERATE_DEGREE_BUDGET", ITERATE_DEGREE_BUDGET)
+    _check_degree("root location", d, n, "ROOT_DEGREE_BUDGET", ROOT_DEGREE_BUDGET)
     count = periodic_count(phi, n)
     pts = tuple(
         sorted(

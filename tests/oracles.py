@@ -274,3 +274,78 @@ def shift_equivalent_scan(A, B, entry_bound: int = 10, lag_bound: int = 6,
         "unknown",
         witness=f"no certificate with entries <= {entry_bound} and lag <= {lag_bound}",
     )
+
+
+def aberth_roots_mp(p, precision: int = 128, max_sweeps: int = 200):
+    """Reference root location: Gauss-Seidel Aberth sweeps in mpmath alone,
+    at precision + 32 bits from ``dynsys._initial_points``, until every step
+    is below 2^(10 - precision) max(|z|, 2^-precision) or max_sweeps have
+    run (then a RuntimeWarning).  Zero roots are split off first; the roots
+    come back sorted by (real, imag)."""
+    import warnings
+
+    from mpmath import mpc, mpf
+
+    from lattes_sft import Poly
+    from lattes_sft.dynsys import _initial_points
+
+    if p.degree <= 0:
+        return []
+    zero_roots = 0
+    while p.ints[zero_roots] == 0:
+        zero_roots += 1
+    q = Poly._from_ints(p.ints[zero_roots:], p.den)
+    roots = []
+    with mp.workprec(precision + 32):
+        if q.degree > 0:
+            coeffs = [mpf(c.numerator) / c.denominator for c in q.coeffs]
+            dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+            deg = q.degree
+            z = _initial_points(coeffs, deg)
+            tol = mpf(2) ** (10 - precision)
+            floor_mag = mpf(2) ** (-precision)
+
+            def horner(cs, v):
+                out = mpc(0)
+                for c in reversed(cs):
+                    out = out * v + c
+                return out
+
+            converged = False
+            for _ in range(max_sweeps):
+                converged = True
+                for i in range(deg):
+                    pv = horner(coeffs, z[i])
+                    if pv == 0:
+                        continue
+                    dv = horner(dcoeffs, z[i])
+                    if dv == 0:
+                        z[i] += mpf(2) ** (-precision // 2)
+                        converged = False
+                        continue
+                    w = pv / dv
+                    ssum = mpc(0)
+                    for j in range(deg):
+                        if j != i:
+                            ssum += 1 / (z[i] - z[j])
+                    denom = 1 - w * ssum
+                    if denom == 0:
+                        z[i] += mpf(2) ** (-precision // 2)
+                        converged = False
+                        continue
+                    delta = w / denom
+                    z[i] -= delta
+                    if abs(delta) > tol * max(abs(z[i]), floor_mag):
+                        converged = False
+                if converged:
+                    break
+            if not converged:
+                warnings.warn(
+                    "root refinement did not converge at this precision; "
+                    "counts remain exact",
+                    RuntimeWarning,
+                )
+            roots.extend(z)
+        roots.extend(mpc(0) for _ in range(zero_roots))
+        roots.sort(key=lambda v: (v.real, v.imag))
+    return roots

@@ -255,6 +255,14 @@ class TestPeriodic:
         assert "ITERATE_DEGREE_BUDGET = 1024" in err
         assert time.perf_counter() - start < 10
 
+    def test_root_degree_budget_exits_1(self, capsys):
+        # 4^5 points pass the iterate budget but not the root-location one
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["periodic", "--curve", "4,2,0", "-n", "5"])
+        assert (rc, out) == (1, "")
+        assert "ROOT_DEGREE_BUDGET = 64" in err
+        assert time.perf_counter() - start < 10
+
 
 class TestCompare:
     def test_table(self, capsys):

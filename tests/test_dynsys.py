@@ -1,8 +1,10 @@
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 from lattes_sft import (
@@ -24,7 +26,8 @@ from lattes_sft import (
     zeta_sft,
 )
 from lattes_sft import cli, dynsys
-from oracles import compose_fraction
+from lattes_sft.intlinalg import poly_mul
+from oracles import aberth_roots_mp, compose_fraction
 
 
 def P(*coeffs):
@@ -203,6 +206,27 @@ class TestPrecisionBudget:
         assert rep.count_distinct == 5 and len(rep.finite_points) == 4
 
 
+class TestRootDegreeBudget:
+    def test_refused_before_counting(self, monkeypatch):
+        assert dynsys.ROOT_DEGREE_BUDGET == 4**3
+
+        def no_count(phi, n):
+            raise AssertionError("counted past the budget")
+
+        monkeypatch.setattr(dynsys, "periodic_count", no_count)
+        for phi, n in ((duplication_map(EllipticCurve(4, 2, 0)), 4),
+                       (duplication_map(EllipticCurve(4, 2, 0)), 5), (Z2, 7)):
+            with pytest.raises(BudgetExceededError, match="ROOT_DEGREE_BUDGET = 64"):
+                periodic_points(phi, n)
+        # the iterate budget is checked first, with its own message
+        with pytest.raises(BudgetExceededError, match="ITERATE_DEGREE_BUDGET = 1024"):
+            periodic_points(Z2, 10**12)
+
+    def test_at_budget_runs(self):
+        rep = periodic_points(Z2, 6)
+        assert rep.count_distinct == 2**6 + 1 and len(rep.finite_points) == 2**6
+
+
 class TestPeriodicPoints:
     def test_z2_fixed_points(self):
         rep = periodic_points(Z2, 1)
@@ -236,6 +260,15 @@ class TestPeriodicPoints:
         assert rep.count_distinct == 5
         assert rep.infinity_fixed
         assert len(rep.finite_points) == 4
+
+    def test_d11_model_converges_at_n3(self):
+        # x^3 - 4x^2 - 112x + 656 (j = -32768): the mpmath-only sweeps ran
+        # 200 times at 160 bits without converging; guard bits finish it
+        phi = duplication_map(EllipticCurve(-4, -112, 656))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = periodic_points(phi, 3)
+        assert rep.count_distinct == 65 and len(rep.finite_points) == 64
 
     def test_count_route_matches_located_report(self):
         for n in (1, 2):
@@ -279,6 +312,62 @@ class TestPeriodicPoints:
         }
 
 
+# Factors whose products have zero roots, +-i, real roots, tiny and huge
+# roots; lowest degree first.
+_FACTORS = st.one_of(
+    st.just([0, 1]),
+    st.just([1, 0, 1]),
+    st.builds(lambda b, a: [b, a], st.integers(-9, 9), st.integers(1, 4)),
+    st.builds(lambda c, b, a: [c, b, a], st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 3)),
+    st.builds(lambda k, sign: [sign * (2**k + 1), 1], st.integers(200, 240), st.sampled_from((1, -1))),
+    st.builds(lambda k: [-1, 2**k], st.integers(200, 240)),
+)
+
+
+@st.composite
+def _squarefree_ints(draw):
+    """Integer coefficients of a square-free polynomial of degree 1 to 12,
+    either dense (entries up to 2^210) or a product of _FACTORS times a
+    scalar up to 2^200 + 1."""
+    if draw(st.booleans()):
+        entry = st.one_of(st.integers(-5, 5), st.integers(-(2**210), 2**210))
+        ints = draw(st.lists(entry, min_size=2, max_size=13))
+    else:
+        ints = [draw(st.sampled_from((1, -3, 2**200 + 1)))]
+        for f in draw(st.lists(_FACTORS, min_size=1, max_size=6)):
+            ints = poly_mul(ints, f)
+    F = Poly._from_ints(ints)
+    assume(1 <= F.degree <= 12 and F.squarefree_part().degree == F.degree)
+    return F.ints
+
+
+def _located(roots, precision=128):
+    """Roots with the zero rule applied (a real or imaginary part at most
+    2^(10 - precision) max(|z|, 2^-precision) is 0), as sorted machine
+    complex numbers."""
+    tol, floor = mp.mpf(2) ** (10 - precision), mp.mpf(2) ** -precision
+    out = []
+    for v in roots:
+        bound = tol * max(abs(v), floor)
+        out.append(complex(float(v.real) if abs(v.real) > bound else 0.0,
+                           float(v.imag) if abs(v.imag) > bound else 0.0))
+    return sorted(out, key=lambda v: (v.real, v.imag))
+
+
+@pytest.fixture
+def float_results(monkeypatch):
+    """The list of what each ``_float_sweeps`` call returns."""
+    results = []
+    float_sweeps = dynsys._float_sweeps
+
+    def spy(*args):
+        results.append(float_sweeps(*args))
+        return results[-1]
+
+    monkeypatch.setattr(dynsys, "_float_sweeps", spy)
+    return results
+
+
 class TestAberth:
     def test_small_poly(self):
         roots = aberth_roots(P(-2, 0, 1))  # x^2 - 2
@@ -294,6 +383,85 @@ class TestAberth:
         with pytest.warns(RuntimeWarning, match="did not converge"):
             roots = aberth_roots(P(-2, 0, 0, 0, 0, 1), max_sweeps=1)
         assert len(roots) == 5  # locations rough, count still right
+
+    def test_real_and_imaginary_parts_below_tolerance_are_zero(self):
+        roots = aberth_roots(P(-2, 0, 1))  # x^2 - 2
+        assert all(r.imag == 0 for r in roots)
+        roots = aberth_roots(P(1, 0, 1))  # x^2 + 1
+        assert [(r.real, r.imag) for r in roots] == [(0, -1), (0, 1)]
+
+    def test_wilkinson_24_converges(self):
+        # prod (x - k), k = 1..24: the mpmath-only sweeps stall at 128 bits
+        # and warn; GUARD_STEP more bits of working precision converge
+        ints = [1]
+        for k in range(1, 25):
+            ints = poly_mul(ints, [-k, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = aberth_roots(Poly._from_ints(ints))
+        assert [r.imag for r in roots] == [0] * 24
+        with mp.workprec(160):
+            assert all(abs(r.real - k) < mp.mpf(2) ** -110 * k for k, r in enumerate(roots, 1))
+
+    @pytest.mark.parametrize("float_phase", [True, False])
+    def test_converging_inputs_take_no_guard_bits(self, monkeypatch, float_phase):
+        # a stall would add GUARD_STEP bits; with None in its place it raises.
+        # Without the float phase the mpmath sweeps start from
+        # _initial_points, as they did alone before, and converged there
+        monkeypatch.setattr(dynsys, "GUARD_STEP", None)
+        if not float_phase:
+            monkeypatch.setattr(dynsys, "_float_sweeps", lambda ints, z, max_sweeps: None)
+        polys = [P(-2, 0, 1), P(0, -1, 0, 1), P(-10**800, 0, 1)]
+        for curve in ((4, 2, 0), (0, 0, 1), (-3, -32, -64), (-4, -112, 656)):
+            phi = duplication_map(EllipticCurve(*curve))
+            polys += [periodic_count(phi, n).squarefree for n in (1, 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for F in polys:
+                assert len(aberth_roots(F)) == F.degree
+
+    def test_float_phase_takes_roots_of_modulus_1e200(self, float_results):
+        # (x - 10^200)(x^2 + 1)(x + 2): past |z| = 1 the float sweeps
+        # evaluate the reversed polynomial, so 10^200 never overflows
+        big = 10**200
+        F = Poly._from_ints(poly_mul(poly_mul([-big, 1], [1, 0, 1]), [2, 1]))
+        roots = aberth_roots(F)
+        assert len(float_results[0]) == 4
+        for root in (-2, -1j, 1j, 1e200):
+            assert min(abs(z - root) for z in float_results[0]) < 1e-12 * abs(root)
+        assert [r.imag for r in roots] == [0, -1, 1, 0]
+        assert [r.real for r in roots[1:3]] == [0, 0]
+        with mp.workprec(160):
+            assert abs(roots[0].real + 2) < mp.mpf(2) ** -110
+            assert abs(roots[3].real / big - 1) < mp.mpf(2) ** -110
+
+    def test_non_finite_float_phase_falls_back(self, float_results):
+        # x^2 - 10^800: the roots +-10^400 have no machine float, so the
+        # mpmath sweeps start from _initial_points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = aberth_roots(P(-10**800, 0, 1))
+        assert float_results == [None]
+        assert [r.imag for r in roots] == [0, 0]
+        with mp.workprec(160):
+            big = mp.mpf(10) ** 400
+            assert abs(roots[0].real / big + 1) < mp.mpf(2) ** -110
+            assert abs(roots[1].real / big - 1) < mp.mpf(2) ** -110
+
+    @settings(max_examples=80)
+    @given(ints=_squarefree_ints())
+    @example(ints=[0, 1, 0, 1])  # x (x^2 + 1): a zero root and +-i
+    @example(ints=[-(2**201) - 2, 0, 2**200 + 1])  # coefficients past 2^200
+    def test_matches_mpmath_reference(self, ints):
+        F = Poly._from_ints(ints)
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            ref = aberth_roots_mp(F)
+        assume(not log)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = aberth_roots(F)
+        assert _located(roots) == _located(ref)
 
     def test_backward_error(self):
         # |F(x)| below 1e-9 times the evaluation scale sum |c_i| |x|^i

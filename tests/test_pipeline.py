@@ -276,8 +276,8 @@ class TestComparisonReport:
         assert [r.trace_count for r in rows] == s[1:]
 
     def test_large_coefficient_curve(self):
-        # j = -32768, D = 11: root location on this model does not converge
-        # at n = 3, which the counts must not depend on
+        # j = -32768, D = 11: root location on this model needs guard bits
+        # at n = 3, and the counts must not depend on it
         E = EllipticCurve(-4, -112, 656, cm_D=11)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
