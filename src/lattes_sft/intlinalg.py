@@ -8,10 +8,11 @@ substitution on integer coefficient lists), the 2x2 matrix type
 maps of ``dynsys.conjugate`` included; its product ``mat2_mul`` also runs
 on the bare 4-tuples of ``cfrac.period_matrix``, and ``matrix_text`` is
 the one text form of a matrix.  Everything here is pure and exact:
-products, characteristic polynomials, Smith normal form with unimodular
-transforms, and bounded enumeration, in increasing order, of the integer
-solution lattice of a Sylvester constraint A X = X B and of its points
-with f(X) = C for a linear map f (``lattice_solutions``).
+products, characteristic polynomials, and one integer elimination,
+``column_echelon``, behind the Smith diagonal, integer kernels, and the
+bounded enumeration, in increasing order, of the integer solution
+lattice of a Sylvester constraint A X = X B and of its points with
+f(X) = C for a linear map f (``lattice_solutions``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from operator import add, le, mul, sub
 
 from .errors import BudgetExceededError
@@ -282,102 +283,26 @@ def charpoly(A) -> tuple[int, ...]:
     return tuple(out)
 
 
-def smith_normal_form(M) -> tuple[Rows, Rows, Rows]:
-    """Return (D, U, V) with D = U*M*V diagonal, U and V unimodular.
+def smith_normal_form(M) -> tuple[int, ...]:
+    """The Smith diagonal of an m x n integer matrix: min(m, n) entries,
+    non-negative, with d1 | d2 | ... and zeros last.
 
-    Diagonal entries are non-negative and satisfy d1 | d2 | ... .
-    """
-    m, n = len(M), len(M[0])
-    A = [list(r) for r in M]
-    U = [list(r) for r in identity(m)]
-    V = [list(r) for r in identity(n)]
-
-    def row_op(i, j, a, b, c, d):
-        # (row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j), ad-bc = +-1
-        for X in (A, U):
-            ri, rj = X[i], X[j]
-            for col in range(len(ri)):
-                x, y = ri[col], rj[col]
-                ri[col] = a * x + b * y
-                rj[col] = c * x + d * y
-
-    def col_op(i, j, a, b, c, d):
-        for X in (A, V):
-            for row in X:
-                x, y = row[i], row[j]
-                row[i] = a * x + b * y
-                row[j] = c * x + d * y
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        if i0 != t:
-            row_op(t, i0, 0, 1, 1, 0)
-        if j0 != t:
-            col_op(t, j0, 0, 1, 1, 0)
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    a, b = A[t][t], A[i][t]
-                    if b % a == 0:
-                        row_op(t, i, 1, 0, -(b // a), 1)
-                    else:
-                        # Bezout rotation; strictly shrinks |pivot|
-                        g, x, y = xgcd(a, b)
-                        row_op(t, i, x, y, -(b // g), a // g)
-                    dirty = True
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    a, b = A[t][t], A[t][j]
-                    if b % a == 0:
-                        col_op(t, j, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        col_op(t, j, x, y, -(b // g), a // g)
-                    dirty = True
-            if not dirty:
-                break
-        # pivot must divide every remaining entry before moving on
-        d = A[t][t]
-        redo = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % d != 0:
-                    row_op(t, i, 1, 1, 0, 1)
-                    redo = True
-                    break
-            if redo:
-                break
-        if redo:
-            continue
-        t += 1
-    for i in range(min(m, n)):
-        if A[i][i] < 0:
-            for col in range(n):
-                A[i][col] = -A[i][col]
-            for col in range(m):
-                U[i][col] = -U[i][col]
-    return (
-        tuple(tuple(r) for r in A),
-        tuple(tuple(r) for r in U),
-        tuple(tuple(r) for r in V),
-    )
-
-
-def smith_diagonal(M) -> tuple[int, ...]:
-    D, _, _ = smith_normal_form(M)
-    return tuple(D[i][i] for i in range(min(len(M), len(M[0]))))
+    Echelon forms of the columns and of the rows alternate until every
+    column has one nonzero entry; a gcd/lcm pass (Z/a + Z/b = Z/gcd + Z/lcm)
+    puts those pivots into a divisibility chain.  The loop ends because
+    ``column_echelon`` returns the unique reduced Hermite basis: the first
+    pivot of a pass is the gcd of the first column of the pass before, so
+    it never grows, and it drops unless it divides every entry of that
+    column; once it does, the next pass returns that column as
+    (p, 0, ..., 0), and the same argument applies to the remaining block."""
+    cols = column_echelon(list(zip(*M)))
+    while any(sum(map(bool, c)) > 1 for c in cols):
+        cols = column_echelon(list(zip(*cols)))
+    d = [max(c) for c in cols]  # each column's one nonzero entry, its positive pivot
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d) + (0,) * (min(len(M), len(M[0])) - len(d))
 
 
 def kernel_basis(M) -> list[tuple[int, ...]]:
@@ -470,11 +395,12 @@ def _matrix(v, n: int) -> Rows:
 def sylvester_basis(A, B) -> list[tuple[int, ...]]:
     """Echelon basis of the integer lattice {X : A X = X B}, each X
     flattened row by row: the kernel of X -> A X - X B, whose matrix has
-    the images of the unit matrices for columns."""
+    A[i][k] [j = l] - [i = k] B[l][j] at row (i, j) and column (k, l)."""
     n = len(A)
-    units = [_matrix(e, n) for e in identity(n * n)]
-    images = [mat_sub(mat_mul(A, E), mat_mul(E, B)) for E in units]
-    return kernel_basis(transpose([sum(X, ()) for X in images]))
+    idx = [(i, j) for i in range(n) for j in range(n)]
+    return kernel_basis(
+        [[A[i][k] * (j == l) - (i == k) * B[l][j] for k, l in idx] for i, j in idx]
+    )
 
 
 def sylvester_solutions(A, B, lo: int, hi: int) -> list[Rows]:

@@ -2,7 +2,8 @@
 
 Periodic-point counts come from two independent routes (matrix trace versus
 explicit closed-walk enumeration in the edge multigraph), zeta functions from
-det(I - tA), and K-type invariants from Smith normal form.  Shift equivalence
+det(I - tA), and K-type invariants from one Smith normal form (K0 and the
+Bowen-Franks group are isomorphic, see ``k_invariants``).  Shift equivalence
 is decided by invariant pre-filters followed by a bounded exhaustive search:
 any certificate (R, S, k) satisfies the Sylvester constraints A R = R B and
 B S = S A.  The candidates for R are the points of the first lattice in the
@@ -30,11 +31,10 @@ from .intlinalg import (
     mat_sub,
     matrix_text,
     scalar_matrix,
-    smith_diagonal,
+    smith_normal_form,
     sylvester_basis,
     sylvester_solutions,
     trace,
-    transpose,
 )
 
 ENUMERATION_BUDGET = 10**7
@@ -251,11 +251,12 @@ def zeta_sft(A: SFTMatrix) -> ZetaRational:
 
 
 def k_invariants(A) -> KInvariants:
-    """K-group data of the shift matrix via Smith normal form.
+    """K-group data of the shift matrix from one Smith normal form.
 
-    K0 = Z^n/(I - A^t)Z^n, K1 = ker(I - A^t), Bowen-Franks = Z^n/(I - A)Z^n.
-    Accepts an SFTMatrix or any square integer row tuple (non-negativity is
-    not needed for these quotients).
+    K0 = Z^n/(I - A^t)Z^n, K1 = ker(I - A^t), Bowen-Franks = Z^n/(I - A)Z^n,
+    and K0 = BF because coker(M) = coker(M^t): one Smith diagonal of I - A
+    gives all three.  Accepts an SFTMatrix or any square integer row tuple
+    (non-negativity is not needed for these quotients).
     """
     rows = A.rows if isinstance(A, SFTMatrix) else tuple(
         tuple(int(v) for v in r) for r in A
@@ -263,12 +264,8 @@ def k_invariants(A) -> KInvariants:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DomainError("matrix must be square")
-    I = identity(n)
-    k0 = AbelianGroupInvariant.from_smith_diagonal(
-        smith_diagonal(mat_sub(I, transpose(rows)))
-    )
-    bf = AbelianGroupInvariant.from_smith_diagonal(smith_diagonal(mat_sub(I, rows)))
-    return KInvariants(K0=k0, K1_rank=k0.rank, bowen_franks=bf)
+    bf = AbelianGroupInvariant.from_smith_diagonal(smith_normal_form(mat_sub(identity(n), rows)))
+    return KInvariants(K0=bf, K1_rank=bf.rank, bowen_franks=bf)
 
 
 def _nonsingular_charpoly(rows) -> tuple[int, ...]:
@@ -380,8 +377,8 @@ def gl2z_similar(A: IntMatrix2, B: IntMatrix2, bound: int = 10) -> SimilarityRes
         # s*s = tr*tr - 4*dt, so s and tr have the same parity
         s = isqrt(disc)
         for lam in ((tr + s) // 2, (tr - s) // 2):
-            dA = smith_diagonal(mat_sub(A.rows(), scalar_matrix(2, lam)))
-            dB = smith_diagonal(mat_sub(B.rows(), scalar_matrix(2, lam)))
+            dA = smith_normal_form(mat_sub(A.rows(), scalar_matrix(2, lam)))
+            dB = smith_normal_form(mat_sub(B.rows(), scalar_matrix(2, lam)))
             if dA != dB:
                 return SimilarityResult(
                     "not_similar",

@@ -276,6 +276,102 @@ def shift_equivalent_scan(A, B, entry_bound: int = 10, lag_bound: int = 6,
     )
 
 
+def smith_normal_form_transforms(M):
+    """Reference Smith normal form by elimination that tracks its
+    transforms: (D, U, V) with D = U*M*V diagonal, U and V unimodular.
+
+    Diagonal entries are non-negative and satisfy d1 | d2 | ... .
+    """
+    from lattes_sft.intlinalg import identity, xgcd
+
+    m, n = len(M), len(M[0])
+    A = [list(r) for r in M]
+    U = [list(r) for r in identity(m)]
+    V = [list(r) for r in identity(n)]
+
+    def row_op(i, j, a, b, c, d):
+        # (row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j), ad-bc = +-1
+        for X in (A, U):
+            ri, rj = X[i], X[j]
+            for col in range(len(ri)):
+                x, y = ri[col], rj[col]
+                ri[col] = a * x + b * y
+                rj[col] = c * x + d * y
+
+    def col_op(i, j, a, b, c, d):
+        for X in (A, V):
+            for row in X:
+                x, y = row[i], row[j]
+                row[i] = a * x + b * y
+                row[j] = c * x + d * y
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if A[i][j] != 0:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        i0, j0 = pivot
+        if i0 != t:
+            row_op(t, i0, 0, 1, 1, 0)
+        if j0 != t:
+            col_op(t, j0, 0, 1, 1, 0)
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if A[i][t] != 0:
+                    a, b = A[t][t], A[i][t]
+                    if b % a == 0:
+                        row_op(t, i, 1, 0, -(b // a), 1)
+                    else:
+                        # Bezout rotation; strictly shrinks |pivot|
+                        g, x, y = xgcd(a, b)
+                        row_op(t, i, x, y, -(b // g), a // g)
+                    dirty = True
+            for j in range(t + 1, n):
+                if A[t][j] != 0:
+                    a, b = A[t][t], A[t][j]
+                    if b % a == 0:
+                        col_op(t, j, 1, 0, -(b // a), 1)
+                    else:
+                        g, x, y = xgcd(a, b)
+                        col_op(t, j, x, y, -(b // g), a // g)
+                    dirty = True
+            if not dirty:
+                break
+        # pivot must divide every remaining entry before moving on
+        d = A[t][t]
+        redo = False
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i][j] % d != 0:
+                    row_op(t, i, 1, 1, 0, 1)
+                    redo = True
+                    break
+            if redo:
+                break
+        if redo:
+            continue
+        t += 1
+    for i in range(min(m, n)):
+        if A[i][i] < 0:
+            for col in range(n):
+                A[i][col] = -A[i][col]
+            for col in range(m):
+                U[i][col] = -U[i][col]
+    return (
+        tuple(tuple(r) for r in A),
+        tuple(tuple(r) for r in U),
+        tuple(tuple(r) for r in V),
+    )
+
+
 def aberth_roots_mp(p, precision: int = 128, max_sweeps: int = 200):
     """Reference root location: Gauss-Seidel Aberth sweeps in mpmath alone,
     at precision + 32 bits from ``dynsys._initial_points``, until every step

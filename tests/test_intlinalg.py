@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -17,7 +18,6 @@ from lattes_sft.intlinalg import (
     mat_pow,
     mat_sub,
     poly_mul,
-    smith_diagonal,
     smith_normal_form,
     solve_right,
     sylvester_basis,
@@ -25,7 +25,7 @@ from lattes_sft.intlinalg import (
     transpose,
     xgcd,
 )
-from oracles import poly_mul_schoolbook
+from oracles import poly_mul_schoolbook, smith_normal_form_transforms
 
 
 def rand_matrix(rng, n, lo=-5, hi=5):
@@ -62,33 +62,106 @@ def test_charpoly_matches_det_and_trace():
             assert all(v == 0 for row in acc for v in row)
 
 
+def rand_rect(rng, m, n, bound):
+    """An m x n matrix with entries in [-bound, bound]; with two or more
+    rows, three in ten are rank-deficient, the last row a combination of
+    earlier ones."""
+    M = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        M[-1] = [x * a + y * b for a, b in zip(M[0], M[m // 2 - 1])]
+    return tuple(map(tuple, M))
+
+
+def column_operations(rng, cols, steps: int):
+    """cols after random unimodular column operations: swaps, negations and
+    adding a multiple of one column to another."""
+    out = [list(c) for c in cols]
+    for _ in range(steps):
+        i, j = rng.sample(range(len(out)), 2) if len(out) > 1 else (0, 0)
+        op = rng.random()
+        if op < 0.2:
+            out[i], out[j] = out[j], out[i]
+        elif op < 0.3 or i == j:
+            out[i] = [-v for v in out[i]]
+        else:
+            k = rng.randint(-3, 3)
+            out[i] = [a + k * b for a, b in zip(out[i], out[j])]
+    return tuple(map(tuple, out))
+
+
+def is_smith_chain(diag) -> bool:
+    """Non-negative, each entry dividing the next, zeros last."""
+    return all(d >= 0 for d in diag) and all(
+        b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:])
+    )
+
+
 def test_smith_normal_form_properties():
     rng = random.Random(7)
     for n in (1, 2, 3, 4):
         for _ in range(25):
             M = rand_matrix(rng, n)
-            D, U, V = smith_normal_form(M)
+            D, U, V = smith_normal_form_transforms(M)
             assert mat_mul(U, mat_mul(M, V)) == D
             assert abs(det(U)) == 1 and abs(det(V)) == 1
-            diag = [D[i][i] for i in range(n)]
+            diag = tuple(D[i][i] for i in range(n))
             assert all(D[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-            assert all(d >= 0 for d in diag)
-            for a, b in zip(diag, diag[1:]):
-                if a != 0:
-                    assert b % a == 0
-                else:
-                    assert b == 0
-            import math
-
+            assert smith_normal_form(M) == diag
+            assert is_smith_chain(diag)
             assert abs(det(M)) == math.prod(diag)
 
 
+def test_smith_normal_form_matches_transform_oracle_on_rectangular():
+    rng = random.Random(41)
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        M = rand_rect(rng, m, n, rng.choice((3, 100)))
+        D, _, _ = smith_normal_form_transforms(M)
+        assert smith_normal_form(M) == tuple(D[i][i] for i in range(min(m, n)))
+
+
+def test_smith_normal_form_is_transpose_invariant():
+    # coker(M) = coker(M^t): k_invariants reads K0 and Bowen-Franks off one form
+    rng = random.Random(43)
+    for _ in range(300):
+        M = rand_rect(rng, rng.randint(1, 6), rng.randint(1, 6), rng.choice((2, 50)))
+        assert smith_normal_form(M) == smith_normal_form(transpose(M))
+
+
+def test_smith_normal_form_matches_sympy():
+    # an independent route: sympy's Smith normal form over ZZ
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(47)
+    cases = [rand_rect(rng, rng.randint(1, 5), rng.randint(1, 5), 6) for _ in range(60)]
+    cases += [rand_rect(rng, n, n, 10**6) for n in (2, 3, 5, 8, 10) for _ in range(3)]
+    cases += [rand_rect(rng, rng.randint(6, 10), rng.randint(6, 10), 10**6) for _ in range(6)]
+    # a known chain hidden by unimodular row and column operations
+    for n in (4, 7, 10):
+        chain = tuple(2 ** min(i, 3) * 3 ** (i // 4) for i in range(n))
+        D = tuple(tuple(chain[i] if i == j else 0 for j in range(n)) for i in range(n))
+        M = transpose(column_operations(rng, transpose(column_operations(rng, D, 40)), 40))
+        assert smith_normal_form(M) == chain
+        cases.append(M)
+    for M in cases:
+        S = sympy_snf(sympy.Matrix(M), domain=sympy.ZZ)
+        want = tuple(abs(int(S[i, i])) for i in range(min(S.shape)))
+        got = smith_normal_form(M)
+        assert got == want, M
+        assert is_smith_chain(got)
+
+
 def test_smith_diagonal_known():
-    assert smith_diagonal(((1, -2), (-1, 1))) == (1, 1)
-    assert smith_diagonal(((-2,),)) == (2,)
-    assert smith_diagonal(((0, 0), (0, 0))) == (0, 0)
-    assert smith_diagonal(((2, 0), (0, 4))) == (2, 4)
-    assert smith_diagonal(((4, 0), (0, 6))) == (2, 12)
+    assert smith_normal_form(((1, -2), (-1, 1))) == (1, 1)
+    assert smith_normal_form(((-2,),)) == (2,)
+    assert smith_normal_form(((0, 0), (0, 0))) == (0, 0)
+    assert smith_normal_form(((2, 0), (0, 4))) == (2, 4)
+    assert smith_normal_form(((4, 0), (0, 6))) == (2, 12)
+    assert smith_normal_form(((4, 6, 10),)) == (2,)
+    assert smith_normal_form(((0,), (3,), (0,))) == (3,)
+    assert smith_normal_form(((2, 0, 0), (0, 0, 0))) == (2, 0)
 
 
 def test_kernel_basis():
@@ -115,7 +188,7 @@ def test_kernel_basis_is_hermite_form_of_smith_kernel():
         M = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
         if rng.random() < 0.3:
             M = M + (tuple(a + b for a, b in zip(M[0], M[-1])),)
-        D, _, V = smith_normal_form(M)
+        D, _, V = smith_normal_form_transforms(M)
         smith = [
             tuple(V[r][i] for r in range(n))
             for i in range(n)
@@ -149,6 +222,23 @@ def test_column_echelon_and_box_enumeration():
                 if all(lo <= x <= hi for x in v):
                     brute.add(v)
             assert pts == brute
+
+
+def test_column_echelon_is_the_unique_reduced_hermite_basis():
+    # smith_normal_form's loop ends because of this uniqueness
+    rng = random.Random(53)
+    for _ in range(300):
+        N, d = rng.randint(1, 5), rng.randint(1, 5)
+        cols = rand_rect(rng, d, N, rng.choice((3, 40)))
+        ech = column_echelon(list(cols))
+        pivots = [next(r for r in range(N) if c[r]) for c in ech]
+        assert pivots == sorted(set(pivots))
+        for k, (p, c) in enumerate(zip(pivots, ech)):
+            assert c[p] > 0
+            assert all(0 <= e[p] < c[p] for e in ech[:k])
+        moved = list(column_operations(rng, cols, 30))
+        rng.shuffle(moved)
+        assert column_echelon(moved) == ech
 
 
 def test_box_enumeration_signed_window():

@@ -19,6 +19,7 @@ from lattes_sft import (
     scale_lattice,
 )
 from lattes_sft.cfrac import square_part
+from lattes_sft.intlinalg import column_echelon
 from oracles import hnf_oracle, random_unimodular, scale_lattice_fraction
 
 SQF = [2, 3, 5, 7, 10, 13]
@@ -158,6 +159,16 @@ class TestHnf2:
             # columns (M.a, M.c) and (M.b, M.d) generate the lattice
             a, b, c = hnf_oracle(M.a, M.c, M.b, M.d)
             assert (H.a, H.b, H.d) == (a, b, c)
+
+    def test_is_column_echelon(self):
+        # column_echelon of the columns read bottom row first: (g, b), (0, a)
+        rng = random.Random(61)
+        for _ in range(2000):
+            M = IntMatrix2(*(rng.randint(-50, 50) for _ in range(4)))
+            if M.det() == 0:
+                continue
+            (g, b), (_, a) = column_echelon([(M.c, M.a), (M.d, M.b)])
+            assert hnf2(M) == IntMatrix2(a, b, 0, g)
 
     def test_rejects_singular(self):
         with pytest.raises(DomainError):
