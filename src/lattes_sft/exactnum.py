@@ -363,10 +363,11 @@ class QuadElem:
         m = _ELEM_RE.match(text.strip())
         if not m:
             raise ParseError(f"bad field element text {text!r}; expected 'a+b*sqrt(D)'")
-        b = Fraction(m.group(3))
-        if m.group(2) == "-":
-            b = -b
-        return cls(Fraction(m.group(1)), b, int(m.group(4)))
+        try:
+            a, b = Fraction(m.group(1)), Fraction(m.group(3))
+        except ZeroDivisionError as exc:
+            raise ParseError(f"bad field element text {text!r}") from exc
+        return cls(a, -b if m.group(2) == "-" else b, int(m.group(4)))
 
 
 def companion_matrix(eps: QuadElem) -> IntMatrix2:

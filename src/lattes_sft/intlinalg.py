@@ -8,11 +8,13 @@ substitution on integer coefficient lists), the 2x2 matrix type
 maps of ``dynsys.conjugate`` included; its product ``mat2_mul`` also runs
 on the bare 4-tuples of ``cfrac.period_matrix``, and ``matrix_text`` is
 the one text form of a matrix.  Everything here is pure and exact:
-products, characteristic polynomials, and one integer elimination,
-``column_echelon``, behind the Smith diagonal, integer kernels, and the
-bounded enumeration, in increasing order, of the integer solution
-lattice of a Sylvester constraint A X = X B and of its points with
-f(X) = C for a linear map f (``lattice_solutions``).
+products, characteristic polynomials (Faddeev-LeVerrier in integers), and
+one integer elimination, ``column_echelon``, behind the Smith diagonal,
+integer kernels, and the bounded enumeration, in increasing order, of the
+integer solution lattice of a Sylvester constraint A X = X B and of its
+points with f(X) = C for a linear map f (``lattice_solutions``).
+``column_echelon`` clears each row by Euclid steps, least pivot first,
+into the unique reduced Hermite basis; ``xgcd`` serves only ``lattice.hnf2``.
 """
 
 from __future__ import annotations
@@ -258,29 +260,21 @@ def det(A) -> int:
 
 
 def charpoly(A) -> tuple[int, ...]:
-    """Coefficients of det(t*I - A), lowest degree first (monic)."""
-    # Faddeev-LeVerrier recursion; the rational intermediate values are
-    # guaranteed to land on integers.
+    """Coefficients of det(t*I - A), lowest degree first (monic), by
+    Faddeev-LeVerrier in integers: M_1 = I, c_(n-k) = -tr(A M_k)/k and
+    M_(k+1) = A M_k + c_(n-k) I.  Each division is exact by Newton's
+    identities; a remainder raises ArithmeticError."""
     n = len(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    Af = tuple(tuple(Fraction(x) for x in row) for row in A)
-    M = Af
-    c = -sum(M[i][i] for i in range(n))
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
-        shifted = tuple(
-            tuple(M[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
-        )
-        M = mat_mul(Af, shifted)
-        c = -sum(M[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-    out = []
-    for v in coeffs:
-        if v.denominator != 1:
+    coeffs = [0] * n + [1]
+    M = identity(n)
+    for k in range(1, n + 1):
+        AM = mat_mul(A, M)
+        c, rem = divmod(-trace(AM), k)
+        if rem:
             raise ArithmeticError("characteristic polynomial must be integral")
-        out.append(int(v))
-    return tuple(out)
+        coeffs[n - k] = c
+        M = mat_sub(AM, scalar_matrix(n, -c))
+    return tuple(coeffs)
 
 
 def smith_normal_form(M) -> tuple[int, ...]:
@@ -314,42 +308,36 @@ def kernel_basis(M) -> list[tuple[int, ...]]:
 
 
 def column_echelon(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Hermite-style column echelon form of an integer column span.
+    """The reduced column Hermite basis of an integer column span: pivot rows
+    strictly increase, pivots are positive, and earlier columns lie in
+    [0, pivot) at each pivot row.  These conditions make the basis unique,
+    so it depends on the span only, not on the columns that span it.
 
-    Pivot rows strictly increase, pivots are positive, and entries of earlier
-    columns at a pivot row are reduced modulo the pivot.
-    """
-    if not cols:
-        return []
-    N = len(cols[0])
+    Each row is cleared by plain Euclid steps: the column with the least
+    nonzero |entry| there divides, and every other column loses its
+    nearest-integer quotient multiple.  The least divisor keeps the
+    multipliers, and so the growth of the other rows, small (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979)."""
+    N = len(cols[0]) if cols else 0
     work = [list(c) for c in cols]
     out: list[list[int]] = []
     for row in range(N):
-        while True:
-            idxs = [k for k, c in enumerate(work) if c[row] != 0]
-            if len(idxs) <= 1:
-                break
-            c1, c2 = work[idxs[0]], work[idxs[1]]
-            a, b = c1[row], c2[row]
-            g, x, y = xgcd(a, b)
-            u, v = -(b // g), a // g
-            for r in range(N):
-                s, t = c1[r], c2[r]
-                c1[r] = x * s + y * t
-                c2[r] = u * s + v * t
-        idxs = [k for k, c in enumerate(work) if c[row] != 0]
-        if idxs:
-            col = work.pop(idxs[0])
-            if col[row] < 0:
-                col = [-v for v in col]
+        live = [c for c in work if c[row]]  # every work column is zero above row
+        while len(live) > 1:
+            p = min(live, key=lambda c: abs(c[row]))
+            for c in live:
+                if c is not p:  # leaves a remainder of at most |p[row]|/2
+                    q = (2 * c[row] + p[row]) // (2 * p[row])
+                    c[row:] = [a - q * b for a, b in zip(c[row:], p[row:])]
+            live = [c for c in live if c[row]]
+        if live:
+            work = [c for c in work if c is not live[0]]
+            col = live[0] if live[0][row] > 0 else [-v for v in live[0]]
             for prev in out:
                 q = prev[row] // col[row]
                 if q:
-                    for r in range(N):
-                        prev[r] -= q * col[r]
+                    prev[row:] = [a - q * b for a, b in zip(prev[row:], col[row:])]
             out.append(col)
-        if not work:
-            break
     return [tuple(c) for c in out]
 
 

@@ -245,9 +245,8 @@ def per_count_enumerate(A: SFTMatrix, n: int) -> int:
 
 def zeta_sft(A: SFTMatrix) -> ZetaRational:
     """The rational zeta function 1/det(I - tA) of the edge shift."""
-    cp = charpoly(A.rows)  # det(tI - A), lowest first
-    den = Poly(tuple(reversed(cp)))  # det(I - tA) = t^n charpoly(1/t)
-    return ZetaRational(Poly.one(), den)
+    # det(I - tA) = t^n det(tI - A) at 1/t: the coefficients reversed
+    return ZetaRational(Poly.one(), Poly._from_ints(reversed(charpoly(A.rows))))
 
 
 def k_invariants(A) -> KInvariants:
@@ -270,10 +269,8 @@ def k_invariants(A) -> KInvariants:
 
 def _nonsingular_charpoly(rows) -> tuple[int, ...]:
     """Characteristic polynomial with the nilpotent-part factor t^m removed."""
-    cs = list(charpoly(rows))
-    while cs and cs[0] == 0:
-        cs.pop(0)
-    return tuple(cs)
+    cs = charpoly(rows)  # monic, so some coefficient is nonzero
+    return cs[next(i for i, c in enumerate(cs) if c):]
 
 
 def _poly_text(cs) -> str:
@@ -284,6 +281,12 @@ def _poly_text(cs) -> str:
 # 2 n^2 equations in dim{B S = S A} + 1 unknowns per (lag, R): reaching it
 # takes 10 to 14 s for n from 3 to 10 on a 2-core container.
 SEARCH_BUDGET = 5 * 10**6
+
+# Most n^12 b^2 of the two Sylvester systems A R = R B and B S = S A, n x n
+# with entries of b bits: their echelon forms took 1.3e-13 to 2.2e-13 s times
+# n^12 b^2 (n = 2..14, b = 1..10^5) on a 2-core container, and shift-equiv at
+# bounds 1 ran 8.6 and 10.4 s as a process at sizes 4.8e13 and 3.6e13.
+SYLVESTER_BUDGET = 5 * 10**13
 
 
 def shift_equivalent(
@@ -297,8 +300,9 @@ def shift_equivalent(
     {A R = R B}, and for each lag k and R one integer solve on the lattice
     {B S = S A} gives the least S with R S = A^k and S R = B^k, singular R
     or not.  Past SEARCH_BUDGET, or past BOX_POINT_BUDGET candidates for R,
-    the result is unknown.  A = B short-circuits to the reflexivity
-    certificate (I, A, 1).
+    the result is unknown.  Past the pre-filters, n^12 b^2 over SYLVESTER_BUDGET
+    raises BudgetExceededError before any Sylvester system is eliminated.
+    A = B short-circuits to the reflexivity certificate (I, A, 1).
     """
     if A.n != B.n:
         raise DomainError("matrices must have the same size")
@@ -325,6 +329,11 @@ def shift_equivalent(
             witness=f"Bowen-Franks groups differ: {bfa} vs {bfb}",
         )
 
+    bits = max(v.bit_length() for M in (A, B) for r in M.rows for v in r)
+    if A.n**12 * bits**2 > SYLVESTER_BUDGET:
+        raise BudgetExceededError(
+            f"Sylvester systems of n^12 b^2 = {A.n**12 * bits**2} exceed SYLVESTER_BUDGET = {SYLVESTER_BUDGET}"
+        )
     s_basis = sylvester_basis(B.rows, A.rows)
     size = 2 * A.n * A.n * (len(s_basis) + 1)
     work = 0

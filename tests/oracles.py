@@ -372,6 +372,48 @@ def smith_normal_form_transforms(M):
     )
 
 
+def column_echelon_bezout(cols):
+    """Reference column echelon form by Bezout merges of two columns at a
+    time: the same reduced Hermite basis as ``intlinalg.column_echelon``
+    (pivot rows strictly increase, pivots are positive, entries of earlier
+    columns at a pivot row are reduced modulo the pivot), by a different
+    elimination whose intermediate entries grow far faster."""
+    from lattes_sft.intlinalg import xgcd
+
+    if not cols:
+        return []
+    N = len(cols[0])
+    work = [list(c) for c in cols]
+    out: list[list[int]] = []
+    for row in range(N):
+        while True:
+            idxs = [k for k, c in enumerate(work) if c[row] != 0]
+            if len(idxs) <= 1:
+                break
+            c1, c2 = work[idxs[0]], work[idxs[1]]
+            a, b = c1[row], c2[row]
+            g, x, y = xgcd(a, b)
+            u, v = -(b // g), a // g
+            for r in range(N):
+                s, t = c1[r], c2[r]
+                c1[r] = x * s + y * t
+                c2[r] = u * s + v * t
+        idxs = [k for k, c in enumerate(work) if c[row] != 0]
+        if idxs:
+            col = work.pop(idxs[0])
+            if col[row] < 0:
+                col = [-v for v in col]
+            for prev in out:
+                q = prev[row] // col[row]
+                if q:
+                    for r in range(N):
+                        prev[r] -= q * col[r]
+            out.append(col)
+        if not work:
+            break
+    return [tuple(c) for c in out]
+
+
 def aberth_roots_mp(p, precision: int = 128, max_sweeps: int = 200):
     """Reference root location: Gauss-Seidel Aberth sweeps in mpmath alone,
     at precision + 32 bits from ``dynsys._initial_points``, until every step

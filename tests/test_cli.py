@@ -71,6 +71,16 @@ class TestFunctor:
         assert rc == 2
         assert "eps" in err or "element" in err
 
+    @pytest.mark.parametrize("eps", ["1/0+1*sqrt(2)", "0+1/0*sqrt(2)"])
+    @pytest.mark.parametrize("command", ["functor", "compare"])
+    def test_zero_denominator_exits_2(self, capsys, command, eps):
+        argv = [command, "--D", "2", "--eps", eps]
+        if command == "compare":
+            argv += ["--curve", "4,2,0", "-n", "1"]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: bad field element text {eps!r}\n"
+
     def test_missing_flag_exits_2(self, capsys):
         assert cli.main(["functor", "--D", "2"]) == 2
         capsys.readouterr()
@@ -208,6 +218,20 @@ class TestShiftEquiv:
     def test_size_mismatch_exits_1(self, capsys):
         rc, _, err = run(capsys, ["shift-equiv", "--A", "2", "--B", "0,1;1,0"])
         assert rc == 1
+
+    def test_sylvester_budget_exits_1(self, capsys):
+        # a dense 14 x 14 pair conjugate by the order-reversing permutation:
+        # n^12 b^2 = 14^12 * 2^2 is past the budget, so nothing is eliminated
+        n = 14
+        A = [[(i * i + 3 * j + i * j) % 3 for j in range(n)] for i in range(n)]
+        B = [[A[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+        assert A != B
+        text = lambda M: ";".join(",".join(map(str, r)) for r in M)  # noqa: E731
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["shift-equiv", "--A", text(A), "--B", text(B)])
+        assert (rc, out) == (1, "")
+        assert "SYLVESTER_BUDGET = 50000000000000" in err
+        assert time.perf_counter() - start < 5
 
     def test_huge_candidate_box_is_unknown_in_seconds(self, capsys):
         # 11^10 candidates for R; the box budget stops listing them

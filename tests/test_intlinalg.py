@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +26,7 @@ from lattes_sft.intlinalg import (
     transpose,
     xgcd,
 )
-from oracles import poly_mul_schoolbook, smith_normal_form_transforms
+from oracles import column_echelon_bezout, poly_mul_schoolbook, smith_normal_form_transforms
 
 
 def rand_matrix(rng, n, lo=-5, hi=5):
@@ -60,6 +61,18 @@ def test_charpoly_matches_det_and_trace():
                 )
                 P = mat_mul(P, A)
             assert all(v == 0 for row in acc for v in row)
+
+
+def test_charpoly_matches_sympy():
+    import sympy
+
+    t = sympy.symbols("t")
+    rng = random.Random(59)
+    for n in range(1, 9):
+        for bound in (5, 10**6):
+            A = rand_matrix(rng, n, -bound, bound)
+            expected = sympy.Matrix(A).charpoly(t).all_coeffs()[::-1]
+            assert charpoly(A) == tuple(int(c) for c in expected)
 
 
 def rand_rect(rng, m, n, bound):
@@ -239,6 +252,39 @@ def test_column_echelon_is_the_unique_reduced_hermite_basis():
         moved = list(column_operations(rng, cols, 30))
         rng.shuffle(moved)
         assert column_echelon(moved) == ech
+
+
+def test_column_echelon_matches_bezout_oracle():
+    # least-pivot Euclid steps and Bezout merges reach the same unique basis
+    rng = random.Random(61)
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        cols = rand_rect(rng, m, n, rng.choice((3, 10**6)))
+        assert column_echelon(list(cols)) == column_echelon_bezout(list(cols))
+
+
+PERMUTED_PAIR_8 = (
+    "0,0,0,1,0,2,2,1;1,2,0,2,0,2,2,0;1,2,1,2,2,1,2,1;2,1,0,0,1,1,1,1;"
+    "1,2,0,2,0,0,0,0;0,1,0,0,2,2,1,2;2,2,0,1,1,2,2,1;2,1,1,1,0,1,2,2",
+    "0,0,2,1,0,0,2,1;1,1,2,2,2,2,1,1;2,0,2,1,2,1,2,1;2,0,1,0,1,1,1,1;"
+    "1,0,2,2,2,0,2,0;1,0,0,2,2,0,0,0;0,0,1,0,1,2,2,2;2,1,2,1,1,0,1,2",
+)
+
+
+def test_sylvester_basis_of_dense_8x8_pair_is_fast():
+    # B is A conjugated by a permutation; Bezout merges grew the entries of
+    # this 64-column system past 200,000 bits and ran for minutes
+    A, B = (
+        tuple(tuple(map(int, r.split(","))) for r in text.split(";"))
+        for text in PERMUTED_PAIR_8
+    )
+    start = time.perf_counter()
+    basis = sylvester_basis(A, B)
+    assert time.perf_counter() - start < 2
+    assert len(basis) == 8
+    for v in basis:
+        X = tuple(v[i * 8 : i * 8 + 8] for i in range(8))
+        assert mat_mul(A, X) == mat_mul(X, B)
 
 
 def test_box_enumeration_signed_window():

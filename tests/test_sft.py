@@ -296,6 +296,25 @@ class TestShiftEquivalent:
         assert res.witness == "search budget exceeded before exhausting bounds"
         assert len(solves) == 5
 
+    def test_sylvester_budget_before_any_elimination(self, monkeypatch):
+        A = SFTMatrix.parse("1,1;1,0")
+        B = SFTMatrix.parse("0,1;1,1")
+        assert sft.SYLVESTER_BUDGET == 5 * 10**13
+        # n = 2, b = 1: the Sylvester systems have size n^12 b^2 = 4096
+        monkeypatch.setattr(sft, "SYLVESTER_BUDGET", 4096)
+        assert shift_equivalent(A, B).status == "equivalent"
+        monkeypatch.setattr(sft, "SYLVESTER_BUDGET", 4095)
+        eliminated = []
+        for name in ("sylvester_basis", "sylvester_solutions"):
+            monkeypatch.setattr(sft, name, lambda *a: eliminated.append(a))
+        with pytest.raises(BudgetExceededError, match="SYLVESTER_BUDGET = 4095"):
+            shift_equivalent(A, B)
+        assert eliminated == []
+        # the pre-filters still give exact negatives
+        monkeypatch.setattr(sft, "SYLVESTER_BUDGET", 0)
+        res = shift_equivalent(A, SFTMatrix.parse("1,1;1,1"))
+        assert res.status == "not_equivalent"
+
     def test_box_point_budget_is_the_search_budget_witness(self, monkeypatch):
         # 11^5 R candidates at entry bound 10, 3^5 at entry bound 2
         A = SFTMatrix.parse("1,0,0;0,1,0;0,0,2")
