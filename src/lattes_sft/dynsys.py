@@ -19,13 +19,17 @@ Root location (``aberth_roots``) runs Aberth's simultaneous iteration in
 two phases from one deterministic start.  Up to max_sweeps sweeps run in
 machine complex numbers on the integer coefficients, scaled by a power of
 two, with the polynomial reversed past |z| = 1 so that no power of z
-overflows; up to max_sweeps more polish the result in mpmath at
-precision + 32 bits, or start over from the same start when a float
-stopped being finite.  The polish converges when every step is below
-2^(10 - precision) max(|z|, 2^-precision); when it stalls short of that,
-its working precision grows by GUARD_STEP bits.  After convergence a real
-or imaginary part within that tolerance is reported as exactly 0, so the
-output does not depend on the path the iteration took.
+overflows; up to max_sweeps more polish the result in the standard
+library's ``decimal`` arithmetic (libmpdec) on (real, imaginary) pairs, or
+start over from the same start when a float stopped being finite.  The
+polish works at up to precision + 32 bits: each sweep runs at about three
+times the digits of the step before, so only the last sweeps pay for the
+full precision.  It converges when a sweep at full precision has every
+step below 2^(10 - precision) max(|z|, 2^-precision); when it stalls
+short of that, its working precision grows by GUARD_STEP bits.  After
+convergence a real or imaginary part within that tolerance is reported as
+exactly 0, so the output does not depend on the path the iteration took.
+mpmath is imported only to hand the roots back as ``mpc`` numbers.
 ``periodic_points`` refuses a map of degree d at period n before any
 exact work when d^n exceeds ROOT_DEGREE_BUDGET.
 """
@@ -36,10 +40,9 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import zip_longest
-
-from mpmath import mp, mpc, mpf
+from itertools import chain, zip_longest
 
 from .errors import BudgetExceededError, DomainError
 from .exactnum import Poly
@@ -64,13 +67,16 @@ ROOT_DEGREE_BUDGET = 4**3
 
 # Root location.  The machine-float sweeps stop once every relative step is
 # below FLOAT_STEP, or when their largest step has not reached a new low for
-# FLOAT_PATIENCE sweeps.  The multiprecision sweeps stall when, with every
-# step below FLOAT_STEP, their largest step has not reached a new low for
-# STALL_SWEEPS sweeps; a stall adds GUARD_STEP bits of working precision.
+# FLOAT_PATIENCE sweeps.  The decimal sweeps at full precision stall when,
+# with every step below FLOAT_STEP, their largest step has not reached a new
+# low for STALL_SWEEPS sweeps; a stall adds GUARD_STEP bits (as decimal
+# digits) of working precision.
 FLOAT_STEP = 1e-12
 FLOAT_PATIENCE = 10
 STALL_SWEEPS = 3
 GUARD_STEP = 64
+
+_ZERO, _ONE, _INF = Decimal(0), Decimal(1), Decimal("Infinity")
 
 
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:
@@ -143,11 +149,24 @@ class PeriodicReport:
             raise DomainError("distinct count cannot exceed the total")
 
 
-def _initial_points(coeffs, deg):
-    """Starting points on circles whose radii come from the upper convex
-    hull of (i, log|c_i|); clusters of very different magnitude each get a
-    circle of roughly the right size."""
-    pts = [(i, mp.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
+def _context(digits: int) -> Context:
+    """A decimal context of the given significant digits, its exponent range
+    at the limits so that any root of an integer polynomial fits."""
+    return Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _digits(bits: int) -> int:
+    """Decimal digits that hold the given number of bits."""
+    return math.ceil(bits * math.log10(2))
+
+
+def _initial_points(ints, deg):
+    """Starting points, as (real, imaginary) Decimal pairs, on circles whose
+    radii come from the upper convex hull of (i, log|c_i|) over the integer
+    coefficients ints; clusters of very different magnitude each get a
+    circle of roughly the right size.  Logs and angles are machine floats;
+    only the radius is a decimal, as it can be 10^400 (x^2 - 10^800)."""
+    pts = [(i, math.log(abs(c))) for i, c in enumerate(ints) if c]
     hull = []
     for px, py in pts:
         while len(hull) >= 2:
@@ -158,12 +177,13 @@ def _initial_points(coeffs, deg):
                 break
         hull.append((px, py))
     z = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        r = mp.e ** ((y1 - y2) / (x2 - x1))
-        count = x2 - x1
-        for k in range(count):
-            angle = 2 * mp.pi * (mpf(k) / count + mpf(73) / 1000 + mpf(x1) / (3 * deg))
-            z.append(r * mp.e ** (mpc(0, angle)))
+    with localcontext(_context(17)):
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            r = Decimal((y1 - y2) / (x2 - x1)).exp()
+            count = x2 - x1
+            for k in range(count):
+                angle = 2 * math.pi * (k / count + 0.073 + x1 / (3 * deg))
+                z.append((r * Decimal(math.cos(angle)), r * Decimal(math.sin(angle))))
     return z
 
 
@@ -223,83 +243,113 @@ def _float_sweeps(ints, z, max_sweeps):
     return z if all(cmath.isfinite(v) for v in z) else None
 
 
-def _polish(q: Poly, z, precision: int, max_sweeps: int):
-    """Aberth sweeps in mpmath on q (no zero root) from the points z, at the
-    working precision the caller's ``mp.workprec`` sets (and restores after
-    a stall has raised it), until every step is below
-    2^(10 - precision) max(|z|, 2^-precision); returns the points with the
-    zero rule applied, or warns after max_sweeps and returns them as they
-    are.  A stall is counted only once every step is below FLOAT_STEP:
-    from there a run limited by the order of convergence shrinks its
-    largest step every sweep, and only one limited by its working precision
-    stalls."""
-    deg = q.degree
-    tol = mpf(2) ** (10 - precision)
-    floor_mag = mpf(2) ** (-precision)
+def _aberth_sweep(cs, re, im, floor2, nudge):
+    """One Gauss-Seidel Aberth sweep in the current decimal context on the
+    coefficients cs (highest degree first, no zero root) over the points
+    re[i] + i im[i], which are updated in place.  Complex numbers are
+    (real, imaginary) pairs, and each reciprocal is one real division.
+    Returns the largest squared relative step |delta|^2 / max(|z|^2,
+    floor2), and whether a point with a zero derivative or a zero Aberth
+    denominator was moved by nudge instead of a step."""
+    head, tail = cs[0], cs[1:]
+    worst, nudged = _ZERO, False
+    for i, (zr, zi) in enumerate(zip(re, im)):
+        pr, pi, dr, di = head, _ZERO, _ZERO, _ZERO
+        for c in tail:
+            dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
+            pr, pi = pr * zr - pi * zi + c, pr * zi + pi * zr
+        if not (pr or pi):
+            continue
+        sr = si = _ZERO
+        for xr, xi in chain(zip(re[:i], im[:i]), zip(re[i + 1 :], im[i + 1 :])):
+            ar, ai = zr - xr, zi - xi
+            m = _ONE / (ar * ar + ai * ai)
+            sr += ar * m
+            si -= ai * m
+        # delta = p / (p' - p s), the Newton step w = p / p' over 1 - w s
+        er, ei = dr - pr * sr + pi * si, di - pr * si - pi * sr
+        if not (dr or di) or not (er or ei):
+            re[i] = zr + nudge
+            nudged = True
+            continue
+        m = _ONE / (er * er + ei * ei)
+        xr, xi = (pr * er + pi * ei) * m, (pi * er - pr * ei) * m
+        re[i], im[i] = zr, zi = zr - xr, zi - xi
+        step = (xr * xr + xi * xi) / max(zr * zr + zi * zi, floor2)
+        if step > worst:
+            worst = step
+    return worst, nudged
 
-    def horner(cs, v):
-        out = mpc(0)
-        for c in reversed(cs):
-            out = out * v + c
-        return out
 
-    def rounded():
-        cs = [mpf(c.numerator) / c.denominator for c in q.coeffs]
-        return cs, [i * c for i, c in enumerate(cs)][1:]
+def _polish(ints, z, precision: int, max_sweeps: int):
+    """Aberth sweeps in decimal arithmetic on the integer coefficients ints
+    (lowest degree first, no zero root) from the (real, imaginary) Decimal
+    pairs z, until every step is below 2^(10 - precision) max(|z|,
+    2^-precision); returns the pairs with the zero rule applied, or warns
+    after max_sweeps and returns them as they are.
 
-    coeffs, dcoeffs = rounded()
-    converged = False
-    best, stale = math.inf, 0
-    for _ in range(max_sweeps):
-        converged = True
-        worst = mpf(0)
-        for i in range(deg):
-            pv = horner(coeffs, z[i])
-            if pv == 0:
-                continue
-            dv = horner(dcoeffs, z[i])
-            if dv == 0:
-                z[i] += mpf(2) ** (-precision // 2)
-                converged = False
-                continue
-            w = pv / dv
-            ssum = mpc(0)
-            for j in range(deg):
-                if j != i:
-                    ssum += 1 / (z[i] - z[j])
-            denom = 1 - w * ssum
-            if denom == 0:
-                z[i] += mpf(2) ** (-precision // 2)
-                converged = False
-                continue
-            delta = w / denom
-            z[i] -= delta
-            step = abs(delta) / max(abs(z[i]), floor_mag)
-            if step > tol:
-                converged = False
-                worst = max(worst, step)
-        if converged:
-            break
-        if worst < best:
-            best, stale = worst, 0
-        elif worst < FLOAT_STEP:
-            stale += 1
-            if stale >= STALL_SWEEPS:
-                mp.prec += GUARD_STEP
-                coeffs, dcoeffs = rounded()
-                best, stale = math.inf, 0
-    if not converged:
-        warnings.warn(
-            "root refinement did not converge at this precision; "
-            "counts remain exact",
-            RuntimeWarning,
-        )
-        return z
-
-    out = []
-    for v in z:
-        bound = tol * max(abs(v), floor_mag)
-        out.append(mpc(v.real if abs(v.real) > bound else 0, v.imag if abs(v.imag) > bound else 0))
+    The full working precision is precision + 32 bits as decimal digits.
+    Each sweep runs at min(full, 3 d + 10) digits, where d is the number of
+    digits of the largest step of the sweep before (d = 12 for the first:
+    the float sweeps stop at FLOAT_STEP); a step of 10^-d leaves an error
+    near 10^-3d, as Aberth's iteration converges cubically, so only the
+    last sweeps pay for the full precision.  The digits never fall.  Below
+    full precision, a sweep whose largest step is zero sends the next to
+    full precision, and one whose largest step reaches no new low, with
+    every step below FLOAT_STEP or after FLOAT_PATIENCE such sweeps,
+    doubles the digits, as MPSolve does when its precision runs short.
+    Convergence and stalls count only in sweeps at full precision.  A
+    stall is counted only once every step is below FLOAT_STEP: from there a
+    run limited by the order of convergence shrinks its largest step every
+    sweep, and only one limited by its working precision stalls; a stall
+    adds GUARD_STEP bits to the full precision.  Magnitudes are compared
+    squared, so no square root is taken."""
+    full = _digits(precision + 32) + 1
+    cs = [Decimal(c) for c in reversed(ints)]
+    re = [x for x, _ in z]
+    im = [y for _, y in z]
+    with localcontext(_context(full)) as ctx:
+        tol2 = Decimal(4) ** (10 - precision)
+        floor2 = Decimal(4) ** -precision
+        nudge = Decimal(2) ** (-precision // 2)
+        stall2 = Decimal(FLOAT_STEP) ** 2
+        digits = min(full, 3 * 12 + 10)
+        best, stale = _INF, 0
+        converged = False
+        for _ in range(max_sweeps):
+            ramp = digits < full
+            ctx.prec = digits
+            worst, nudged = _aberth_sweep(cs, re, im, floor2, nudge)
+            if not ramp and not nudged and worst <= tol2:
+                converged = True
+                break
+            if worst < best:
+                best, stale = worst, 0
+            elif ramp or worst < stall2:
+                stale += 1
+            if ramp:
+                if not worst:
+                    digits = full
+                elif stale and (worst < stall2 or stale >= FLOAT_PATIENCE):
+                    digits, stale = min(full, 2 * digits), 0
+                else:
+                    digits = min(full, max(digits, 3 * (-worst.adjusted() // 2) + 10))
+                if digits == full:
+                    best, stale = _INF, 0
+            elif stale >= STALL_SWEEPS:
+                full += _digits(GUARD_STEP)
+                digits, best, stale = full, _INF, 0
+        if not converged:
+            warnings.warn(
+                "root refinement did not converge at this precision; "
+                "counts remain exact",
+                RuntimeWarning,
+            )
+            return list(zip(re, im))
+        out = []
+        for x, y in zip(re, im):
+            bound = tol2 * max(x * x + y * y, floor2)
+            out.append((x if x * x > bound else _ZERO, y if y * y > bound else _ZERO))
     return out
 
 
@@ -309,34 +359,39 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200):
 
     Zero roots are split off first.  From ``_initial_points``, up to
     max_sweeps Gauss-Seidel sweeps run in machine complex numbers
-    (``_float_sweeps``), then up to max_sweeps sweeps at precision + 32
-    bits (``_polish``) from their result, or from the start itself when the
-    float sweeps failed.  The second phase converges once every step is
-    below 2^(10 - precision) max(|z|, 2^-precision); when it stalls, its
-    working precision rises by GUARD_STEP bits inside the same max_sweeps.
-    Once converged, a real or imaginary part no larger than that tolerance
-    is reported as exactly 0 (the zero rule).  A run that does not converge
-    warns and returns its last points.  Raises BudgetExceededError before
-    any work when precision exceeds PRECISION_BUDGET."""
+    (``_float_sweeps``), then up to max_sweeps sweeps in decimal arithmetic
+    (``_polish``) from their result, or from the start itself when the
+    float sweeps failed.  The second phase works at up to precision + 32
+    bits, rising from a lower precision while the steps are large; it
+    converges once every step is below 2^(10 - precision) max(|z|,
+    2^-precision), and when it stalls its working precision rises by
+    GUARD_STEP bits inside the same max_sweeps.  Once converged, a real or
+    imaginary part no larger than that tolerance is reported as exactly 0
+    (the zero rule).  A run that does not converge warns and returns its
+    last points.  The roots come back as mpmath ``mpc`` numbers at
+    precision + 32 bits; mpmath is used for nothing else.  Raises
+    BudgetExceededError before any work when precision exceeds
+    PRECISION_BUDGET."""
+    from mpmath import mp, mpc
+
     _check_precision(precision)
     if p.degree <= 0:
         return []
     zero_roots = 0
     while p.ints[zero_roots] == 0:
         zero_roots += 1
-    q = Poly._from_ints(p.ints[zero_roots:], p.den)
+    ints = p.ints[zero_roots:]
     roots = []
+    if len(ints) > 1:
+        z = _initial_points(ints, len(ints) - 1)
+        fz = _float_sweeps(ints, [complex(float(x), float(y)) for x, y in z], max_sweeps)
+        if fz is not None:
+            z = [(Decimal(v.real), Decimal(v.imag)) for v in fz]
+        roots = _polish(ints, z, precision, max_sweeps)
+    roots.extend([(_ZERO, _ZERO)] * zero_roots)
+    roots.sort()
     with mp.workprec(precision + 32):
-        if q.degree > 0:
-            coeffs = [mpf(c.numerator) / c.denominator for c in q.coeffs]
-            z = _initial_points(coeffs, q.degree)
-            fz = _float_sweeps(q.ints, [complex(v) for v in z], max_sweeps)
-            if fz is not None:
-                z = [mpc(v) for v in fz]
-            roots = _polish(q, z, precision, max_sweeps)
-        roots.extend(mpc(0) for _ in range(zero_roots))
-        roots.sort(key=lambda v: (v.real, v.imag))
-    return roots
+        return [mpc(str(x), str(y)) for x, y in roots]
 
 
 @dataclass(frozen=True)

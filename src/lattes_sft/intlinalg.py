@@ -37,6 +37,18 @@ TRIAL_DIVISION_BOUND = 2**20
 # of a 16-entry box take about 1 s.
 BOX_POINT_BUDGET = 2 * 10**5
 
+# Largest size n^4 (1 + n (b + log2 n) b^0.585 / 10^4) of a charpoly of an
+# n x n matrix with entries of b bits.  Faddeev-LeVerrier makes n^4 scalar
+# products, the k-th round's with factors of b and about k (b + log2 n)
+# bits: interpreter overhead per product, plus Karatsuba work (exponent
+# log2 3 - 1 = 0.585 in b) that dominates past a few hundred bits.  On a
+# 2-core container charpoly took 0.5e-7 to 2.1e-7 s times that size over
+# n = 2..80 and b = 2..10^7: 5.4 s at n = 80, b = 2 (size 4.5e7), 81 s at
+# n = 40, b = 1000 (5.9e8), 34 s at n = 2, b = 10^7 (4.0e8).  At the budget
+# one charpoly takes about 5 s, and the two of a shift-equivalence
+# pre-filter stay near 15 s as a process.
+CHARPOLY_BUDGET = 4 * 10**7
+
 
 def is_square(n: int) -> bool:
     if n < 0:
@@ -263,8 +275,17 @@ def charpoly(A) -> tuple[int, ...]:
     """Coefficients of det(t*I - A), lowest degree first (monic), by
     Faddeev-LeVerrier in integers: M_1 = I, c_(n-k) = -tr(A M_k)/k and
     M_(k+1) = A M_k + c_(n-k) I.  Each division is exact by Newton's
-    identities; a remainder raises ArithmeticError."""
+    identities; a remainder raises ArithmeticError.  Raises
+    BudgetExceededError before any product when the size of the matrix is
+    over CHARPOLY_BUDGET."""
     n = len(A)
+    b = max((abs(v).bit_length() for row in A for v in row), default=0)
+    size = n**4 * (1 + n * (b + n.bit_length()) * b**0.585 / 10**4)
+    if size > CHARPOLY_BUDGET:
+        raise BudgetExceededError(
+            f"charpoly of size {size:.3g} ({n} x {n}, {b}-bit entries) exceeds "
+            f"CHARPOLY_BUDGET = {CHARPOLY_BUDGET}"
+        )
     coeffs = [0] * n + [1]
     M = identity(n)
     for k in range(1, n + 1):

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from mpmath import mp, mpc
-
 from .errors import DomainError, ParseError
 from .exactnum import Poly
 
@@ -120,7 +118,10 @@ def duplication_map(E: EllipticCurve) -> RationalMap:
     return RationalMap(num, den)
 
 
-def _to_mpc(x) -> mpc:
+def _to_mpc(x):
+    """x as an mpmath ``mpc`` in the caller's precision."""
+    from mpmath import mpc
+
     if isinstance(x, Fraction):
         return mpc(x.numerator) / x.denominator
     return mpc(x)
@@ -128,6 +129,8 @@ def _to_mpc(x) -> mpc:
 
 def lift_y(E: EllipticCurve, x, precision: int = 128):
     """Principal square root of x^3 + a*x^2 + b*x + c at the given precision."""
+    from mpmath import mp
+
     with mp.workprec(precision):
         return mp.sqrt(E.rhs().eval_mp(_to_mpc(x)))
 
@@ -138,6 +141,8 @@ def double_point(E: EllipticCurve, x, y, precision: int = 128, rel_tol: float = 
     The point must satisfy the curve equation to within rel_tol and must not
     be 2-torsion (y = 0 doubles to the point at infinity).
     """
+    from mpmath import mp
+
     with mp.workprec(precision):
         xz, yz = _to_mpc(x), _to_mpc(y)
         f = E.rhs().eval_mp(xz)

@@ -439,7 +439,7 @@ def aberth_roots_mp(p, precision: int = 128, max_sweeps: int = 200):
             coeffs = [mpf(c.numerator) / c.denominator for c in q.coeffs]
             dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
             deg = q.degree
-            z = _initial_points(coeffs, deg)
+            z = [mpc(str(x), str(y)) for x, y in _initial_points(q.ints, deg)]
             tol = mpf(2) ** (10 - precision)
             floor_mag = mpf(2) ** (-precision)
 

@@ -154,6 +154,18 @@ class TestZeta:
         assert rc == 1
         assert "non-negative" in err
 
+    @pytest.mark.parametrize("command", ["zeta", "shift-equiv"])
+    def test_charpoly_budget_exits_1(self, capsys, command):
+        # an 80 x 80 matrix is over CHARPOLY_BUDGET; both commands refuse it at once
+        text = ";".join([",".join(["1"] * 80)] * 80)
+        argv = ["zeta", "--matrix", text] if command == "zeta" else [
+            "shift-equiv", "--A", text, "--B", text.replace("1", "2", 1)]
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert "CHARPOLY_BUDGET = 40000000" in err
+        assert time.perf_counter() - start < 5
+
 
 class TestCfrac:
     def test_worked_surd(self, capsys):
@@ -377,3 +389,35 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["zeta"]["den"] == ["1", "0", "-2"]
+
+
+_MPMATH_PROBE = """
+import sys
+from lattes_sft import cli
+
+assert "mpmath" not in sys.modules, "import"
+for argv in (
+    ["verify"],
+    ["functor", "--curve", "4,2,0", "--D", "2", "--eps", "0+1*sqrt(2)"],
+    ["zeta", "--matrix", "1,1;1,0"],
+    ["cfrac", "--surd", "(1+sqrt(5))/2"],
+    ["shift-equiv", "--A", "0,1;2,0", "--B", "0,2;1,0"],
+    ["compare", "--curve", "4,2,0", "--D", "2", "--eps", "0+1*sqrt(2)", "-n", "2"],
+):
+    assert cli.main(argv) == 0, argv
+    assert "mpmath" not in sys.modules, argv
+assert cli.main(["periodic", "--curve", "4,2,0", "-n", "1"]) == 0
+assert "mpmath" in sys.modules, "periodic"
+"""
+
+
+def test_only_periodic_loads_mpmath():
+    # a fresh interpreter: importing the CLI and running every other
+    # subcommand leaves mpmath unloaded; locating periodic points loads it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MPMATH_PROBE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,6 @@
+import decimal
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -448,20 +450,65 @@ class TestAberth:
             assert abs(roots[0].real / big + 1) < mp.mpf(2) ** -110
             assert abs(roots[1].real / big - 1) < mp.mpf(2) ** -110
 
+    @pytest.mark.parametrize("precision", [64, 128, 1024])
     @settings(max_examples=80)
     @given(ints=_squarefree_ints())
     @example(ints=[0, 1, 0, 1])  # x (x^2 + 1): a zero root and +-i
     @example(ints=[-(2**201) - 2, 0, 2**200 + 1])  # coefficients past 2^200
-    def test_matches_mpmath_reference(self, ints):
+    def test_matches_mpmath_reference(self, ints, precision):
         F = Poly._from_ints(ints)
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
-            ref = aberth_roots_mp(F)
+            ref = aberth_roots_mp(F, precision)
         assume(not log)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            roots = aberth_roots(F, precision)
+        assert _located(roots, precision) == _located(ref, precision)
+
+    @pytest.mark.parametrize("curve", [(0, 0, 1), (4, 2, 0), (-3, -32, -64)])
+    def test_doubling_map_at_n3_matches_mpmath_reference(self, curve):
+        # degree 64: the float sweeps, the precision ramp and the polish
+        F = periodic_count(duplication_map(EllipticCurve(*curve)), 3).squarefree
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             roots = aberth_roots(F)
+            ref = aberth_roots_mp(F)
+        assert len(roots) == 64
         assert _located(roots) == _located(ref)
+
+    @pytest.mark.parametrize("ints", [[-2, 0, 1], [0, 1, 0, 1]])  # x^2 - 2, x (x^2 + 1)
+    def test_matches_mpmath_reference_at_the_precision_budget(self, ints):
+        F = Poly._from_ints(ints)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = aberth_roots(F, dynsys.PRECISION_BUDGET)
+            ref = aberth_roots_mp(F, dynsys.PRECISION_BUDGET)
+        assert _located(roots, 4096) == _located(ref, 4096)
+        with mp.workprec(4200):
+            assert all(abs(r - v) < mp.mpf(2) ** -4080 for r, v in zip(roots, ref))
+
+    def test_ramp_converges_only_at_full_precision(self, monkeypatch):
+        # the float phase hands over the exact roots of (x-1)(x-2)(x-3), so
+        # every step of the first decimal sweep is 0; that sweep runs below
+        # full precision and is not taken as convergence, the next one is
+        monkeypatch.setattr(dynsys, "_float_sweeps", lambda ints, z, max_sweeps: [1 + 0j, 2 + 0j, 3 + 0j])
+        F = P(-6, 11, -6, 1)
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            aberth_roots(F, 1024, max_sweeps=1)
+        digits = []
+        sweep = dynsys._aberth_sweep
+
+        def spy(*args):
+            digits.append(decimal.getcontext().prec)
+            return sweep(*args)
+
+        monkeypatch.setattr(dynsys, "_aberth_sweep", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = aberth_roots(F, 1024, max_sweeps=2)
+        assert [(r.real, r.imag) for r in roots] == [(1, 0), (2, 0), (3, 0)]
+        assert digits == [46, math.ceil((1024 + 32) * math.log10(2)) + 1]
 
     def test_backward_error(self):
         # |F(x)| below 1e-9 times the evaluation scale sum |c_i| |x|^i

@@ -75,6 +75,31 @@ def test_charpoly_matches_sympy():
             assert charpoly(A) == tuple(int(c) for c in expected)
 
 
+
+def test_charpoly_budget(monkeypatch):
+    # a zero matrix has size exactly n^4; one nonzero entry puts it over
+    assert intlinalg.CHARPOLY_BUDGET == 4 * 10**7
+    zero = ((0, 0, 0),) * 3
+    one = ((0, 0, 0), (0, 0, 0), (0, 0, 1))
+    monkeypatch.setattr(intlinalg, "CHARPOLY_BUDGET", 3**4)
+    assert charpoly(zero) == (0, 0, 0, 1)
+    with pytest.raises(BudgetExceededError, match="CHARPOLY_BUDGET = 81"):
+        charpoly(one)
+    monkeypatch.setattr(intlinalg, "CHARPOLY_BUDGET", 3**4 - 1)
+    with pytest.raises(BudgetExceededError, match="3 x 3, 0-bit entries"):
+        charpoly(zero)
+
+
+def test_charpoly_refuses_large_inputs_at_once():
+    # each would run for more than 15 s: 80 x 80 of 0/1 (n^4 alone is over),
+    # 40 x 40 of 1000 bits (81 s), 2 x 2 of 10^7 bits (34 s)
+    big = 2**10**7 - 1
+    for A in (((1,) * 80,) * 80, ((2**1000 - 1,) * 40,) * 40, ((big, big), (big, big))):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="CHARPOLY_BUDGET = 40000000"):
+            charpoly(A)
+        assert time.perf_counter() - start < 1
+
 def rand_rect(rng, m, n, bound):
     """An m x n matrix with entries in [-bound, bound]; with two or more
     rows, three in ten are rank-deficient, the last row a combination of
