@@ -55,14 +55,17 @@ from .lattes import RationalMap
 # degree-4^6 iterate about 40 s.
 ITERATE_DEGREE_BUDGET = 4**5
 
-# Largest root-location precision in bits: ``periodic -n 2`` takes 1.8 s at
-# 4096 bits and 215 s at 65536 bits on a 2-core container.
+# Largest root-location precision in bits: at 4096 bits ``periodic --curve
+# 4,2,0`` takes 0.6-0.7 s as a process at n = 2 and 6.8-7.8 s at n = 3 on
+# a 2-core container.
 PRECISION_BUDGET = 4096
 
 # Largest degree phi.degree^n whose periodic points ``periodic_points``
-# locates: on a 2-core container the doubling map of (4,2,0) takes 0.7 s
-# at n = 3 (degree 64) and the D = 11 model about 5 s; at n = 4 (degree
-# 256) the doubling map of (4,2,0) runs for minutes.
+# locates: on a 2-core container ``periodic --curve 4,2,0 -n 3`` (degree
+# 64) takes 0.35 s as a process and the D = 11 model about 0.7 s
+# in-process; at n = 4 (degree 256) root location on (4,2,0) runs all
+# max_sweeps in 93 s and warns, as the float sweeps cannot separate its
+# roots.
 ROOT_DEGREE_BUDGET = 4**3
 
 # Root location.  The machine-float sweeps stop once every relative step is
@@ -362,10 +365,10 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200):
     (``_float_sweeps``), then up to max_sweeps sweeps in decimal arithmetic
     (``_polish``) from their result, or from the start itself when the
     float sweeps failed.  The second phase works at up to precision + 32
-    bits, rising from a lower precision while the steps are large; it
-    converges once every step is below 2^(10 - precision) max(|z|,
-    2^-precision), and when it stalls its working precision rises by
-    GUARD_STEP bits inside the same max_sweeps.  Once converged, a real or
+    bits, starting lower and rising as its steps shrink; it converges once
+    every step of a sweep at that precision is below 2^(10 - precision)
+    max(|z|, 2^-precision), and when it stalls its working precision rises
+    by GUARD_STEP bits inside the same max_sweeps.  Once converged, a real or
     imaginary part no larger than that tolerance is reported as exactly 0
     (the zero rule).  A run that does not converge warns and returns its
     last points.  The roots come back as mpmath ``mpc`` numbers at
