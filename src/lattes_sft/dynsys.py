@@ -22,11 +22,14 @@ two, with the polynomial reversed past |z| = 1 so that no power of z
 overflows; up to max_sweeps more polish the result in the standard
 library's ``decimal`` arithmetic (libmpdec) on (real, imaginary) pairs, or
 start over from the same start when a float stopped being finite.  The
-polish works at up to precision + 32 bits: each sweep runs at about three
-times the digits of the step before, so only the last sweeps pay for the
-full precision.  It converges when a sweep at full precision has every
-step below 2^(10 - precision) max(|z|, 2^-precision); when it stalls
-short of that, its working precision grows by GUARD_STEP bits.  After
+polish runs at fixed levels of precision: the top one, at precision + 32
+bits, holds the digits of the tolerance 2^(10 - precision), and each one
+below a third of the digits of the one above while that is more than 36.
+One rule moves between them: the next sweep runs at the lowest level
+that holds the cube of the last largest step, one level higher (at the
+top, GUARD_STEP bits more) when steps below FLOAT_STEP stop shrinking,
+and at the top after a zero step.  It converges when a sweep at the top
+level has every step below 2^(10 - precision) max(|z|, 2^-precision).  After
 convergence a real or imaginary part within that tolerance is reported as
 exactly 0, so the output does not depend on the path the iteration took.
 mpmath is imported only to hand the roots back as ``mpc`` numbers.
@@ -56,8 +59,9 @@ from .lattes import RationalMap
 ITERATE_DEGREE_BUDGET = 4**5
 
 # Largest root-location precision in bits: at 4096 bits ``periodic --curve
-# 4,2,0`` takes 0.6-0.7 s as a process at n = 2 and 6.8-7.8 s at n = 3 on
-# a 2-core container.
+# 4,2,0`` takes 0.4-0.5 s as a process at n = 2 and 6.8-6.9 s at n = 3 on
+# a 2-core container, and the D = 11 model (``--curve -4,-112,656``)
+# 0.4-0.5 s and 15 s.
 PRECISION_BUDGET = 4096
 
 # Largest degree phi.degree^n whose periodic points ``periodic_points``
@@ -70,16 +74,14 @@ ROOT_DEGREE_BUDGET = 4**3
 
 # Root location.  The machine-float sweeps stop once every relative step is
 # below FLOAT_STEP, or when their largest step has not reached a new low for
-# FLOAT_PATIENCE sweeps.  The decimal sweeps at full precision stall when,
-# with every step below FLOAT_STEP, their largest step has not reached a new
-# low for STALL_SWEEPS sweeps; a stall adds GUARD_STEP bits (as decimal
-# digits) of working precision.
+# FLOAT_PATIENCE sweeps.  A decimal sweep with every step below FLOAT_STEP
+# whose largest step did not shrink is limited by its working precision; at
+# the top level that adds GUARD_STEP bits (as decimal digits).
 FLOAT_STEP = 1e-12
 FLOAT_PATIENCE = 10
-STALL_SWEEPS = 3
 GUARD_STEP = 64
 
-_ZERO, _ONE, _INF = Decimal(0), Decimal(1), Decimal("Infinity")
+_ZERO, _ONE = Decimal(0), Decimal(1)
 
 
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:
@@ -287,27 +289,32 @@ def _aberth_sweep(cs, re, im, floor2, nudge):
 def _polish(ints, z, precision: int, max_sweeps: int):
     """Aberth sweeps in decimal arithmetic on the integer coefficients ints
     (lowest degree first, no zero root) from the (real, imaginary) Decimal
-    pairs z, until every step is below 2^(10 - precision) max(|z|,
-    2^-precision); returns the pairs with the zero rule applied, or warns
-    after max_sweeps and returns them as they are.
+    pairs z, until a sweep at the top level has every step below
+    2^(10 - precision) max(|z|, 2^-precision); returns the pairs with the
+    zero rule applied, or warns after max_sweeps and returns them as they
+    are.
 
-    The full working precision is precision + 32 bits as decimal digits.
-    Each sweep runs at min(full, 3 d + 10) digits, where d is the number of
-    digits of the largest step of the sweep before (d = 12 for the first:
-    the float sweeps stop at FLOAT_STEP); a step of 10^-d leaves an error
-    near 10^-3d, as Aberth's iteration converges cubically, so only the
-    last sweeps pay for the full precision.  The digits never fall.  Below
-    full precision, a sweep whose largest step is zero sends the next to
-    full precision, and one whose largest step reaches no new low, with
-    every step below FLOAT_STEP or after FLOAT_PATIENCE such sweeps,
-    doubles the digits, as MPSolve does when its precision runs short.
-    Convergence and stalls count only in sweeps at full precision.  A
-    stall is counted only once every step is below FLOAT_STEP: from there a
-    run limited by the order of convergence shrinks its largest step every
-    sweep, and only one limited by its working precision stalls; a stall
-    adds GUARD_STEP bits to the full precision.  Magnitudes are compared
-    squared, so no square root is taken."""
+    The sweeps run at fixed levels.  The top level holds the digits of the
+    tolerance; each level below holds a third of those of the one above,
+    rounded up, while that is more than 36, the cube of the FLOAT_STEP at
+    which the float sweeps hand over.  Every level works with the slack
+    that precision + 32 bits keeps over the top level, so the cube of the
+    error its own rounding leaves still reaches the level above.  The
+    first sweep runs at the lowest level.  As the iteration converges
+    cubically, a step of 10^-d sends the next sweep to the lowest level
+    that holds 3 d digits; the level never falls.  A sweep with every step
+    below FLOAT_STEP whose largest step did not shrink (the decimal
+    exponent of its square did not fall; steps at the noise floor wander
+    by less) is limited by its precision, as in MPSolve: it moves up one
+    level, or at the top adds GUARD_STEP bits, and the next sweep, which
+    re-measures the same error, is compared with nothing.  A zero largest
+    step moves to the top level.
+    Magnitudes are compared squared, so no square root is taken."""
     full = _digits(precision + 32) + 1
+    held = [_digits(precision - 10)]
+    while held[0] > -9 * math.log10(FLOAT_STEP):  # a third of it tops 36
+        held.insert(0, -(-held[0] // 3))
+    slack = full - held[-1]
     cs = [Decimal(c) for c in reversed(ints)]
     re = [x for x, _ in z]
     im = [y for _, y in z]
@@ -316,33 +323,26 @@ def _polish(ints, z, precision: int, max_sweeps: int):
         floor2 = Decimal(4) ** -precision
         nudge = Decimal(2) ** (-precision // 2)
         stall2 = Decimal(FLOAT_STEP) ** 2
-        digits = min(full, 3 * 12 + 10)
-        best, stale = _INF, 0
-        converged = False
+        level, top, last = 0, len(held) - 1, _ONE
         for _ in range(max_sweeps):
-            ramp = digits < full
-            ctx.prec = digits
+            ctx.prec = held[level] + slack
             worst, nudged = _aberth_sweep(cs, re, im, floor2, nudge)
-            if not ramp and not nudged and worst <= tol2:
-                converged = True
+            if level == top and not nudged and worst <= tol2:
                 break
-            if worst < best:
-                best, stale = worst, 0
-            elif ramp or worst < stall2:
-                stale += 1
-            if ramp:
-                if not worst:
-                    digits = full
-                elif stale and (worst < stall2 or stale >= FLOAT_PATIENCE):
-                    digits, stale = min(full, 2 * digits), 0
+            if not worst:
+                level = top
+            elif worst < stall2 and worst.adjusted() >= last.adjusted():
+                if level == top:
+                    held[top] += _digits(GUARD_STEP)
                 else:
-                    digits = min(full, max(digits, 3 * (-worst.adjusted() // 2) + 10))
-                if digits == full:
-                    best, stale = _INF, 0
-            elif stale >= STALL_SWEEPS:
-                full += _digits(GUARD_STEP)
-                digits, best, stale = full, _INF, 0
-        if not converged:
+                    level += 1
+                worst = _ONE
+            else:
+                need = 3 * (-worst.adjusted() // 2)
+                while level < top and held[level] < need:
+                    level += 1
+            last = worst
+        else:
             warnings.warn(
                 "root refinement did not converge at this precision; "
                 "counts remain exact",
@@ -364,16 +364,15 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200):
     max_sweeps Gauss-Seidel sweeps run in machine complex numbers
     (``_float_sweeps``), then up to max_sweeps sweeps in decimal arithmetic
     (``_polish``) from their result, or from the start itself when the
-    float sweeps failed.  The second phase works at up to precision + 32
-    bits, starting lower and rising as its steps shrink; it converges once
-    every step of a sweep at that precision is below 2^(10 - precision)
-    max(|z|, 2^-precision), and when it stalls its working precision rises
-    by GUARD_STEP bits inside the same max_sweeps.  Once converged, a real or
-    imaginary part no larger than that tolerance is reported as exactly 0
-    (the zero rule).  A run that does not converge warns and returns its
-    last points.  The roots come back as mpmath ``mpc`` numbers at
-    precision + 32 bits; mpmath is used for nothing else.  Raises
-    BudgetExceededError before any work when precision exceeds
+    float sweeps failed.  The second phase works at fixed levels of
+    precision up to precision + 32 bits, GUARD_STEP bits more when that
+    limits its steps, and converges once every step of a sweep at the top
+    is below 2^(10 - precision) max(|z|, 2^-precision).  Once converged, a
+    real or imaginary part no larger than that tolerance is reported as
+    exactly 0 (the zero rule).  A run that does not converge warns and
+    returns its last points.  The roots come back as mpmath ``mpc``
+    numbers at precision + 32 bits; mpmath is used for nothing else.
+    Raises BudgetExceededError before any work when precision exceeds
     PRECISION_BUDGET."""
     from mpmath import mp, mpc
 

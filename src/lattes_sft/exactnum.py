@@ -157,9 +157,6 @@ class Poly:
     def coefficient(self, i: int) -> Fraction:
         return Fraction(self.ints[i], self.den) if 0 <= i < len(self.ints) else Fraction(0)
 
-    def lc(self) -> Fraction:
-        return self.coefficient(self.degree)
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented

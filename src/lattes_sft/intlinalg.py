@@ -237,38 +237,12 @@ def mat_sub(A, B) -> Rows:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def transpose(A) -> Rows:
-    return tuple(zip(*A))
-
-
 def trace(A) -> int:
     return sum(A[i][i] for i in range(len(A)))
 
 
 def scalar_matrix(n: int, c: int) -> Rows:
     return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def det(A) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 def charpoly(A) -> tuple[int, ...]:

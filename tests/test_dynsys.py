@@ -508,7 +508,28 @@ class TestAberth:
             warnings.simplefilter("error", RuntimeWarning)
             roots = aberth_roots(F, 1024, max_sweeps=2)
         assert [(r.real, r.imag) for r in roots] == [(1, 0), (2, 0), (3, 0)]
-        assert digits == [46, math.ceil((1024 + 32) * math.log10(2)) + 1]
+        assert digits == [115, math.ceil((1024 + 32) * math.log10(2)) + 1]
+
+    def test_d11_model_takes_guard_bits_without_waiting(self, monkeypatch):
+        # x^3 - 4x^2 - 112x + 656 at n = 3 and 1024 bits: Horner on the
+        # square-free part loses about 28 digits, so at 319 digits the steps
+        # stop short of the tolerance and GUARD_STEP bits are needed.  The
+        # first step that does not shrink takes them, so few sweeps run at
+        # 319 digits or more: one at 319 and two at 339
+        F = periodic_count(duplication_map(EllipticCurve(-4, -112, 656)), 3).squarefree
+        digits = []
+        sweep = dynsys._aberth_sweep
+
+        def spy(*args):
+            digits.append(decimal.getcontext().prec)
+            return sweep(*args)
+
+        monkeypatch.setattr(dynsys, "_aberth_sweep", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = aberth_roots(F, 1024)
+        assert len(roots) == 64
+        assert sum(d >= math.ceil((1024 + 32) * math.log10(2)) + 1 for d in digits) <= 4
 
     def test_backward_error(self):
         # |F(x)| below 1e-9 times the evaluation scale sum |c_i| |x|^i

@@ -173,7 +173,7 @@ class TestRationalMap:
 
     def test_denominator_sign_normalized(self):
         m = RationalMap(P(0, 1), P(-1))
-        assert m.den.lc() > 0
+        assert m.den.ints[-1] > 0
         assert m.num == P(0, -1)
 
     def test_degree(self):
