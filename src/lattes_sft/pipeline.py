@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfrac import ContinuedFraction, QuadSurd, expand, period_matrix, surd_step
-from .dynsys import periodic_count
+from .dynsys import compose, periodic_count
 from .errors import DomainError
 from .exactnum import QuadElem, companion_matrix
 from .intlinalg import IntMatrix2, is_square, square_part
@@ -144,7 +144,9 @@ class ComparisonRow:
 
 def comparison_report(E: EllipticCurve, eps: QuadElem, n_max: int) -> list[ComparisonRow]:
     """Side-by-side periodic-point counts for the doubling map of E and the
-    edge shift of the companion matrix of eps, for n = 1..n_max."""
+    edge shift of the companion matrix of eps, for n = 1..n_max.  The
+    iterates come from one chain phi^n = phi o phi^(n-1), and the period-n
+    points of phi are the fixed points of phi^n."""
     if not 1 <= n_max <= 4:
         raise DomainError("n_max must be between 1 and 4 (degree growth guard)")
     if E.cm_D is None:
@@ -154,8 +156,11 @@ def comparison_report(E: EllipticCurve, eps: QuadElem, n_max: int) -> list[Compa
     A = SFTMatrix.from_intmatrix2(companion_matrix(eps))
     d = phi.degree
     rows = []
+    phin = phi
     for n in range(1, n_max + 1):
-        count = periodic_count(phi, n)
+        if n > 1:
+            phin = compose(phi, phin)
+        count = periodic_count(phin, 1)
         tr = per_count_trace(A, n)
         if count.count_with_multiplicity != d**n + 1:
             raise ArithmeticError("Bezout count identity violated")

@@ -28,6 +28,7 @@ from lattes_sft import (
     zeta_sft,
 )
 from lattes_sft import cli, dynsys
+from lattes_sft.exactnum import _prs_gcd
 from lattes_sft.intlinalg import poly_mul
 from oracles import aberth_roots_mp, compose_fraction
 
@@ -84,6 +85,37 @@ class TestCompose:
                 step = compose(phi, out)
                 assert step == compose_fraction(phi, out)
                 out = step
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        num=st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+        den=st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+        mobius=st.none() | st.tuples(*[st.integers(-3, 3)] * 4),
+    )
+    def test_compose_takes_no_gcd(self, num, den, mobius):
+        # compose builds f o g without a gcd, as the composition of two maps
+        # in lowest terms is in lowest terms; the oracle reduces through the
+        # public constructor's gcd.  Conjugates are non-monic, with negative
+        # leading coefficients.  The PRS gcd, with no mod-p certificate, is a
+        # third route, run up to degree 64, past which it takes seconds.
+        try:
+            phi = RationalMap(P(*num), P(*den))
+        except DomainError:
+            assume(False)
+        assume(2 <= phi.degree <= 4)
+        if mobius is not None:
+            M = IntMatrix2(*mobius)
+            assume(M.det() != 0)
+            phi = conjugate(phi, M)
+        out = phi
+        while out.degree * phi.degree <= 256:
+            step = compose(phi, out)
+            assert step == compose_fraction(phi, out)
+            assert math.gcd(*step.num.ints, *step.den.ints) == 1
+            assert step.den.ints[-1] > 0
+            if step.degree <= 64:
+                assert len(_prs_gcd(list(step.num.ints), list(step.den.ints))) == 1
+            out = step
 
 
 def _random_map(rng, max_deg=2):

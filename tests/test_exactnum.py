@@ -13,6 +13,8 @@ from lattes_sft import (
     QuadElem,
     companion_matrix,
 )
+from lattes_sft import exactnum
+from lattes_sft.exactnum import _COPRIMALITY_PRIMES, _provably_coprime
 from oracles import poly_divmod_fraction, poly_mul_schoolbook
 
 SQF = [2, 3, 5, 6, 7, 10, 11, 13]
@@ -235,6 +237,56 @@ def test_squarefree_part_of_squarefree_divides_nothing(monkeypatch):
     monkeypatch.setattr(Poly, "__divmod__", no_divmod)
     assert F.squarefree_part() == P(-1, 1) * P(2, 1) * P(Fraction(6, 5), 1)
     assert lattes_F.squarefree_part() == lattes_F.monic()
+
+
+def test_certificate_primes_fit_one_digit():
+    import sympy
+
+    for p in _COPRIMALITY_PRIMES:
+        assert sympy.isprime(p) and p < 2**30
+
+
+def test_certificate_skips_a_prime_dividing_a_leading_coefficient(monkeypatch):
+    # p0 x + 1 and x + 1 are coprime; p0 divides a leading coefficient, so
+    # the certificate is taken modulo the next prime
+    p0, p1 = _COPRIMALITY_PRIMES[:2]
+    gfp_gcd_degree = exactnum._gfp_gcd_degree
+    used = []
+
+    def recorded(a, b, p):
+        used.append(p)
+        return gfp_gcd_degree(a, b, p)
+
+    monkeypatch.setattr(exactnum, "_gfp_gcd_degree", recorded)
+    assert _provably_coprime([1, p0], [1, 1])
+    assert used == [p1]
+    assert P(1, p0).gcd(P(1, 1)) == Poly.one()
+
+
+def test_root_shared_modulo_the_certificate_prime_falls_back(monkeypatch):
+    # x + p0 and x are coprime over Q but share the root 0 modulo p0, so no
+    # certificate is found and the PRS decides
+    p0 = _COPRIMALITY_PRIMES[0]
+    prs_gcd = exactnum._prs_gcd
+    calls = []
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return prs_gcd(a, b)
+
+    monkeypatch.setattr(exactnum, "_prs_gcd", recorded)
+    assert not _provably_coprime([p0, 1], [0, 1])
+    assert P(p0, 1).gcd(P(0, 1)) == Poly.one()
+    assert len(calls) == 1
+
+
+def test_squarefree_part_of_repeated_factors():
+    # (x - 1)^2 (2x + 3)^3 (x^2 + 1), and the same times the first
+    # certificate prime, whose leading coefficient that prime divides
+    F = P(-1, 1) * P(-1, 1) * P(3, 2) * P(3, 2) * P(3, 2) * P(1, 0, 1)
+    expected = P(-1, 1) * P(Fraction(3, 2), 1) * P(1, 0, 1)
+    assert F.squarefree_part() == expected
+    assert (F * _COPRIMALITY_PRIMES[0]).squarefree_part() == expected
 
 
 def _random_poly(rng, max_deg=6):

@@ -20,14 +20,16 @@ from lattes_sft import (
     companion_matrix,
     comparison_report,
     conjugacy_test,
+    duplication_map,
     functor_invariants,
     k_invariants,
     per_count_enumerate,
+    per_count_trace,
     period_matrix,
     scale_lattice,
     zeta_sft,
 )
-from lattes_sft import cli
+from lattes_sft import cli, dynsys, pipeline
 from lattes_sft.lattice import PseudoLattice
 from oracles import expand_seen, period_matrix_fold
 
@@ -284,6 +286,43 @@ class TestComparisonReport:
             rows = comparison_report(E, QuadElem(0, 1, 11), 3)
         assert [r.distinct_count for r in rows] == [5, 17, 65]
         assert [r.trace_count for r in rows] == [0, 22, 0]
+
+    @pytest.mark.parametrize("twist", (1, -1, 2))
+    @pytest.mark.parametrize("D, curve", ((3, (0, 0, 1)), (2, (4, 2, 0)), (7, (-3, -32, -64))))
+    def test_one_iterate_chain(self, monkeypatch, D, curve, twist):
+        # the CM classes and their twists (a d, b d^2, c d^3): phi^n is
+        # composed once per n > 1, and its fixed points give the same rows as
+        # the period-n points of phi
+        a, b, c = curve
+        E = EllipticCurve(a * twist, b * twist**2, c * twist**3, cm_D=D)
+        eps = QuadElem(0, 1, D)
+        compose = dynsys.compose
+        calls = []
+
+        def counted(f, g):
+            calls.append(g)
+            return compose(f, g)
+
+        for module in (dynsys, pipeline):
+            monkeypatch.setattr(module, "compose", counted)
+        phi = duplication_map(E)
+        A = SFTMatrix.from_intmatrix2(companion_matrix(eps))
+        for n_max in range(1, 5):
+            calls.clear()
+            rows = comparison_report(E, eps, n_max)
+            assert len(calls) == n_max - 1
+            expected = []
+            for n in range(1, n_max + 1):
+                count = dynsys.periodic_count(phi, n)
+                expected.append(
+                    pipeline.ComparisonRow(
+                        n=n,
+                        trace_count=per_count_trace(A, n),
+                        distinct_count=count.count_distinct,
+                        multiplicity_count=count.count_with_multiplicity,
+                    )
+                )
+            assert rows == expected
 
     def test_closed_form_count_checked(self, monkeypatch):
         from lattes_sft import dynsys, pipeline
