@@ -18,11 +18,20 @@ points and never feeds back into a count.
 
 Root location (``aberth_roots``) runs Aberth's simultaneous iteration in
 two phases from one deterministic start.  Up to max_sweeps sweeps run in
-machine complex numbers on the integer coefficients, scaled by a power of
-two, with the polynomial reversed past |z| = 1 so that no power of z
-overflows; up to max_sweeps more polish the result in the standard
-library's ``decimal`` arithmetic (libmpdec) on (real, imaginary) pairs, or
-start over from the same start when a float stopped being finite.  The
+machine complex numbers; up to max_sweeps more polish the result in the
+standard library's ``decimal`` arithmetic (libmpdec) on (real, imaginary)
+pairs, or start over from the same start when a float stopped being
+finite.  Both phases take the Newton correction from one of two
+evaluators.  Horner runs on the integer coefficients (in floats scaled by
+a power of two, and reversed past |z| = 1 so that no power of z
+overflows).  The jet, for F = P_n - x Q_n of an iterate phi^n = P_n/Q_n,
+runs phi's homogeneous pair n times from (z, 1) and carries the
+derivative by the chain rule (Schleicher and Stoll, Newton's method in
+practice, 2017): each step is evaluated in the chart X/Z or Z/X that stays
+in the unit disc, which rescales the jet and leaves F/F' unchanged, and
+no digit is lost to the cancellation in F's expanded coefficients.
+``periodic_points`` takes the jet when F is square-free and the jet costs
+fewer Horner updates, 2 n (d + 1) < d^n + 1; Horner otherwise.  The
 polish runs at fixed levels of precision: the top one, at precision + 32
 bits, holds the digits of the tolerance 2^(10 - precision), and each one
 below a third of the digits of the one above while that is more than 36.
@@ -61,17 +70,19 @@ from .lattes import RationalMap
 ITERATE_DEGREE_BUDGET = 4**5
 
 # Largest root-location precision in bits: at 4096 bits ``periodic --curve
-# 4,2,0`` takes 0.4-0.5 s as a process at n = 2 and 6.8-6.9 s at n = 3 on
-# a 2-core container, and the D = 11 model (``--curve -4,-112,656``)
-# 0.4-0.5 s and 15 s.
+# 4,2,0`` takes 0.6 s as a process at n = 2 and 3.9-4.2 s at n = 3 on a
+# 2-core container, and the D = 11 model (``--curve -4,-112,656``) 0.5 s
+# and 4.3-4.4 s.
 PRECISION_BUDGET = 4096
 
 # Largest degree phi.degree^n whose periodic points ``periodic_points``
 # locates: on a 2-core container ``periodic --curve 4,2,0 -n 3`` (degree
-# 64) takes 0.35 s as a process and the D = 11 model about 0.7 s
-# in-process; at n = 4 (degree 256) root location on (4,2,0) runs all
-# max_sweeps in 93 s and warns, as the float sweeps cannot separate its
-# roots.
+# 64) takes 0.3 s as a process, as does the D = 11 model.  At n = 4
+# (degree 256) the jet locates the points of the four CM doubling maps,
+# converged, as a process in 1.0-1.1 s on (0,0,1), 3.1-3.3 s on
+# (-3,-32,-64), 7.8-10.2 s on the D = 11 model and 10.7-11.0 s on (4,2,0);
+# but a map whose F is not square-free keeps Horner, and (x^4 - 3x^2 +
+# 1)/x^3 at n = 4 runs all max_sweeps in 95 s in-process and warns.
 ROOT_DEGREE_BUDGET = 4**3
 
 # Root location.  The machine-float sweeps stop once every relative step is
@@ -205,35 +216,156 @@ def _check_precision(precision: int) -> None:
         )
 
 
-def _float_sweeps(ints, z, max_sweeps):
-    """Aberth sweeps in machine complex numbers on the integer coefficients
-    ints (lowest degree first, no zero root) from the points z, which are
-    updated in place; returns z, or None when a value stopped being finite.
-    The coefficients are scaled by one power of two to below 1 in size; at
-    |z| > 1 the Newton correction p/p' comes from the reversed polynomial
-    r(v) = v^d p(1/v) at v = 1/z, as z r / (d r - v r')."""
+def _horner_float(ints):
+    """Newton correction p(z)/p'(z) in machine complex numbers for the
+    integer coefficients ints (lowest degree first, no zero root).  They
+    are scaled by one power of two to below 1 in size; at |z| > 1 the
+    correction comes from the reversed polynomial r(v) = v^d p(1/v) at
+    v = 1/z, as z r / (d r - v r'), so no power of z overflows."""
     deg = len(ints) - 1
     scale = 1 << max(abs(c).bit_length() for c in ints)
     lo = [c / scale for c in ints]
     hi = lo[::-1]
+
+    def newton(z):
+        p = dp = 0j
+        if abs(z) <= 1:
+            for c in hi:
+                dp = dp * z + p
+                p = p * z + c
+            return p / dp
+        v = 1 / z
+        for c in lo:
+            dp = dp * v + p
+            p = p * v + c
+        return z * p / (deg * p - v * dp)
+
+    return newton
+
+
+def _horner_pairs(ints):
+    """Numerator and denominator (p, p') of the Newton correction in the
+    current decimal context for the integer coefficients ints (lowest
+    degree first, no zero root), at a (real, imaginary) pair; Horner."""
+    cs = [Decimal(c) for c in reversed(ints)]
+    head, tail = cs[0], cs[1:]
+
+    def newton(zr, zi):
+        pr, pi, dr, di = head, _ZERO, _ZERO, _ZERO
+        for c in tail:
+            dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
+            pr, pi = pr * zr - pi * zi + c, pr * zi + pi * zr
+        return pr, pi, dr, di
+
+    return newton
+
+
+def _jet_float(num, den, n, k):
+    """Newton correction F(z) / (F'(z) - k F(z) / z) for F(z) = X - z Z,
+    (X, Z) = H^n(z, 1), where H(X, Z) = (p^h(X, Z), q^h(X, Z)) is the
+    homogeneous pair of a map of degree d = len(num) - 1 with coefficients
+    num and den (lowest degree first, padded to d + 1 terms).  Each step
+    divides the jet (X, Z, X', Z') by whichever of X and Z is the larger,
+    so the Horner variable t = X/Z or u = Z/X stays in the unit disc and
+    nothing overflows; the jet map is homogeneous, so F/F' is unchanged.
+    With x1, z1 the scaled derivatives, the chain rule gives, in the chart
+    Z = 1, X' = p'(t) (x1 - t z1) + d p(t) z1 and the same for q; the
+    chart X = 1 is the same with X and Z, and the coefficient order,
+    swapped.  The arithmetic is machine complex numbers."""
+    d = len(num) - 1
+    by_t = (num[::-1], den[::-1])
+    by_u = (num, den)
+
+    def newton(z):
+        X, Z, dX, dZ = z, 1, 1, 0
+        for _ in range(n):
+            if abs(X) <= abs(Z):
+                cp, cq = by_t
+            else:
+                cp, cq = by_u
+                X, Z, dX, dZ = Z, X, dZ, dX
+            r = 1 / Z
+            t, x1, z1 = X * r, dX * r, dZ * r
+            w = x1 - t * z1
+            p = dp = q = dq = 0
+            for a, b in zip(cp, cq):
+                dp = dp * t + p
+                p = p * t + a
+                dq = dq * t + q
+                q = q * t + b
+            X, Z, dX, dZ = p, q, dp * w + d * p * z1, dq * w + d * q * z1
+        F = X - z * Z
+        dF = dX - Z - z * dZ
+        if k:
+            dF -= k * F / z
+        return F / dF
+
+    return newton
+
+
+def _jet_pairs(num, den, n, k, one):
+    """Numerator and denominator of the Newton correction of _jet_float on
+    (real, imaginary) pairs of any real field whose unit is one, such as
+    Decimal in the current context or Fraction: (F, F'), or (z F, z F' -
+    k F) for a zero root of multiplicity k.  The coefficients num and den
+    are of that field."""
+    d = (len(num) - 1) * one
+    zero = one - one
+    by_t = (num[::-1], den[::-1])
+    by_u = (num, den)
+
+    def newton(zr, zi):
+        xr, xi, yr, yi = zr, zi, one, zero  # X and Z
+        ar, ai, br, bi = one, zero, zero, zero  # X' and Z'
+        for _ in range(n):
+            if xr * xr + xi * xi <= yr * yr + yi * yi:
+                cp, cq = by_t
+            else:
+                cp, cq = by_u
+                xr, xi, yr, yi, ar, ai, br, bi = yr, yi, xr, xi, br, bi, ar, ai
+            m = one / (yr * yr + yi * yi)
+            rr, ri = yr * m, -yi * m
+            tr, ti = xr * rr - xi * ri, xr * ri + xi * rr
+            ar, ai = ar * rr - ai * ri, ar * ri + ai * rr
+            br, bi = br * rr - bi * ri, br * ri + bi * rr
+            wr, wi = ar - tr * br + ti * bi, ai - tr * bi - ti * br
+            pr, pi, qr, qi = cp[0], zero, cq[0], zero
+            dpr = dpi = dqr = dqi = zero
+            for a, b in zip(cp[1:], cq[1:]):
+                dpr, dpi = dpr * tr - dpi * ti + pr, dpr * ti + dpi * tr + pi
+                pr, pi = pr * tr - pi * ti + a, pr * ti + pi * tr
+                dqr, dqi = dqr * tr - dqi * ti + qr, dqr * ti + dqi * tr + qi
+                qr, qi = qr * tr - qi * ti + b, qr * ti + qi * tr
+            xr, xi, yr, yi, ar, ai, br, bi = (
+                pr, pi, qr, qi,
+                dpr * wr - dpi * wi + d * (pr * br - pi * bi),
+                dpr * wi + dpi * wr + d * (pr * bi + pi * br),
+                dqr * wr - dqi * wi + d * (qr * br - qi * bi),
+                dqr * wi + dqi * wr + d * (qr * bi + qi * br),
+            )
+        fr, fi = xr - zr * yr + zi * yi, xi - zr * yi - zi * yr
+        gr, gi = ar - yr - zr * br + zi * bi, ai - yi - zr * bi - zi * br
+        if k:
+            return (zr * fr - zi * fi, zr * fi + zi * fr,
+                    zr * gr - zi * gi - k * fr, zr * gi + zi * gr - k * fi)
+        return fr, fi, gr, gi
+
+    return newton
+
+
+def _float_sweeps(newton, z, max_sweeps):
+    """Aberth sweeps in machine complex numbers from the points z, which
+    are updated in place, with the Newton correction newton(z) of
+    ``_horner_float`` or ``_jet_float``; returns z, or None when a value
+    stopped being finite."""
+    deg = len(z)
     best, stale = math.inf, 0
     try:
         for _ in range(max_sweeps):
             worst = 0.0
             for i in range(deg):
                 zi = z[i]
-                p = dp = 0j
-                if abs(zi) <= 1:
-                    for c in hi:
-                        dp = dp * zi + p
-                        p = p * zi + c
-                    w = p / dp
-                else:
-                    v = 1 / zi
-                    for c in lo:
-                        dp = dp * v + p
-                        p = p * v + c
-                    w = zi * p / (deg * p - v * dp)
+                w = newton(zi)
                 s = 0j
                 for j in range(deg):
                     if j != i:
@@ -254,21 +386,18 @@ def _float_sweeps(ints, z, max_sweeps):
     return z if all(cmath.isfinite(v) for v in z) else None
 
 
-def _aberth_sweep(cs, re, im, floor2, nudge):
-    """One Gauss-Seidel Aberth sweep in the current decimal context on the
-    coefficients cs (highest degree first, no zero root) over the points
-    re[i] + i im[i], which are updated in place.  Complex numbers are
-    (real, imaginary) pairs, and each reciprocal is one real division.
-    Returns the largest squared relative step |delta|^2 / max(|z|^2,
-    floor2), and whether a point with a zero derivative or a zero Aberth
-    denominator was moved by nudge instead of a step."""
-    head, tail = cs[0], cs[1:]
+def _aberth_sweep(newton, re, im, floor2, nudge):
+    """One Gauss-Seidel Aberth sweep in the current decimal context over
+    the points re[i] + i im[i], which are updated in place; newton(zr, zi)
+    gives the numerator p and denominator p' of the Newton correction
+    (``_horner_pairs`` or ``_jet_pairs``).  Complex numbers are (real,
+    imaginary) pairs, and each reciprocal is one real division.  Returns
+    the largest squared relative step |delta|^2 / max(|z|^2, floor2), and
+    whether a point with a zero derivative or a zero Aberth denominator
+    was moved by nudge instead of a step."""
     worst, nudged = _ZERO, False
     for i, (zr, zi) in enumerate(zip(re, im)):
-        pr, pi, dr, di = head, _ZERO, _ZERO, _ZERO
-        for c in tail:
-            dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
-            pr, pi = pr * zr - pi * zi + c, pr * zi + pi * zr
+        pr, pi, dr, di = newton(zr, zi)
         if not (pr or pi):
             continue
         sr = si = _ZERO
@@ -292,9 +421,9 @@ def _aberth_sweep(cs, re, im, floor2, nudge):
     return worst, nudged
 
 
-def _polish(ints, z, precision: int, max_sweeps: int):
-    """Aberth sweeps in decimal arithmetic on the integer coefficients ints
-    (lowest degree first, no zero root) from the (real, imaginary) Decimal
+def _polish(newton, z, precision: int, max_sweeps: int):
+    """Aberth sweeps in decimal arithmetic with the Newton correction
+    newton (see ``_aberth_sweep``) from the (real, imaginary) Decimal
     pairs z, until a sweep at the top level has every step below
     2^(10 - precision) max(|z|, 2^-precision); returns the pairs with the
     zero rule applied, or warns after max_sweeps and returns them as they
@@ -321,7 +450,6 @@ def _polish(ints, z, precision: int, max_sweeps: int):
     while held[0] > -9 * math.log10(FLOAT_STEP):  # a third of it tops 36
         held.insert(0, -(-held[0] // 3))
     slack = full - held[-1]
-    cs = [Decimal(c) for c in reversed(ints)]
     re = [x for x, _ in z]
     im = [y for _, y in z]
     with localcontext(_context(full)) as ctx:
@@ -332,7 +460,7 @@ def _polish(ints, z, precision: int, max_sweeps: int):
         level, top, last = 0, len(held) - 1, _ONE
         for _ in range(max_sweeps):
             ctx.prec = held[level] + slack
-            worst, nudged = _aberth_sweep(cs, re, im, floor2, nudge)
+            worst, nudged = _aberth_sweep(newton, re, im, floor2, nudge)
             if level == top and not nudged and worst <= tol2:
                 break
             if not worst:
@@ -362,7 +490,7 @@ def _polish(ints, z, precision: int, max_sweeps: int):
     return out
 
 
-def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200):
+def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200, jet=None):
     """All complex roots of a square-free polynomial by simultaneous
     (Aberth-Ehrlich) iteration; deterministic start, deterministic order.
 
@@ -379,7 +507,15 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200):
     returns its last points.  The roots come back as mpmath ``mpc``
     numbers at precision + 32 bits; mpmath is used for nothing else.
     Raises BudgetExceededError before any work when precision exceeds
-    PRECISION_BUDGET."""
+    PRECISION_BUDGET.
+
+    Both phases take the Newton correction from one of two evaluators.
+    By default it is Horner on the coefficients of p.  With jet = (phi, n),
+    where p is P_n - x Q_n for phi^n = P_n/Q_n up to a constant factor, it
+    is the jet: phi's homogeneous pair run n times with the chain rule
+    (``_jet_float``, ``_jet_pairs``), which costs 2 n (deg phi + 1) Horner
+    updates in place of deg p + 1 and loses no digits to the cancellation
+    in p's expanded coefficients."""
     from mpmath import mp, mpc
 
     _check_precision(precision)
@@ -391,11 +527,23 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200):
     ints = p.ints[zero_roots:]
     roots = []
     if len(ints) > 1:
+        if jet is None:
+            float_newton, newton = _horner_float(ints), _horner_pairs(ints)
+        else:
+            phi, n = jet
+            num, den = (f.ints + (0,) * (phi.degree + 1 - len(f.ints)) for f in (phi.num, phi.den))
+            scale = 1 << max(abs(c).bit_length() for c in num + den)
+            float_newton = _jet_float(
+                [c / scale for c in num], [c / scale for c in den], n, zero_roots
+            )
+            newton = _jet_pairs(
+                [Decimal(c) for c in num], [Decimal(c) for c in den], n, zero_roots, _ONE
+            )
         z = _initial_points(ints, len(ints) - 1)
-        fz = _float_sweeps(ints, [complex(float(x), float(y)) for x, y in z], max_sweeps)
+        fz = _float_sweeps(float_newton, [complex(float(x), float(y)) for x, y in z], max_sweeps)
         if fz is not None:
             z = [(Decimal(v.real), Decimal(v.imag)) for v in fz]
-        roots = _polish(ints, z, precision, max_sweeps)
+        roots = _polish(newton, z, precision, max_sweeps)
     roots.extend([(_ZERO, _ZERO)] * zero_roots)
     roots.sort()
     with mp.workprec(precision + 32):
@@ -407,13 +555,16 @@ class PeriodicCount:
     """Exact count of the solutions of phi^n(x) = x on the projective line.
 
     ``squarefree`` is the square-free part of P_n - x Q_n, where
-    phi^n = P_n / Q_n; its roots are the finite periodic points."""
+    phi^n = P_n / Q_n; its roots are the finite periodic points.
+    ``finite_simple`` says that P_n - x Q_n is itself square-free, so that
+    every finite periodic point is a simple root of it."""
 
     degree: int
     count_with_multiplicity: int
     count_distinct: int
     infinity_fixed: bool
     squarefree: Poly
+    finite_simple: bool
 
 
 def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
@@ -441,6 +592,7 @@ def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
         count_distinct=sqf.degree + (1 if infinity_fixed else 0),
         infinity_fixed=infinity_fixed,
         squarefree=sqf,
+        finite_simple=sqf.degree == F.degree,
     )
 
 
@@ -448,17 +600,25 @@ def periodic_points(phi: RationalMap, n: int, precision: int = 128) -> PeriodicR
     """Solutions of phi^n(x) = x with exact counts and float locations.
     Before the exact work it checks PRECISION_BUDGET, then the
     ITERATE_DEGREE_BUDGET that ``iterate`` applies, then
-    ROOT_DEGREE_BUDGET."""
+    ROOT_DEGREE_BUDGET.
+
+    The roots of the square-free part of F = P_n - x Q_n are located with
+    the jet of phi's homogeneous pair (``aberth_roots`` with jet = (phi,
+    n)) when F is itself square-free and the jet takes fewer Horner updates
+    per evaluation than F, 2 n (d + 1) < d^n + 1; otherwise by Horner on
+    the square-free part.  For the degree-4 doubling maps that is the jet
+    from n = 3 on."""
     _check_precision(precision)
     d = phi.degree
     _check_degree("iterate", d, n, "ITERATE_DEGREE_BUDGET", ITERATE_DEGREE_BUDGET)
     _check_degree("root location", d, n, "ROOT_DEGREE_BUDGET", ROOT_DEGREE_BUDGET)
     count = periodic_count(phi, n)
+    jet = (phi, n) if count.finite_simple and 2 * n * (d + 1) < d**n + 1 else None
     pts = tuple(
         sorted(
             (
                 complex(float(z.real), float(z.imag))
-                for z in aberth_roots(count.squarefree, precision)
+                for z in aberth_roots(count.squarefree, precision, jet=jet)
             ),
             key=lambda v: (v.real, v.imag),
         )

@@ -297,11 +297,30 @@ class TestPeriodicPoints:
 
     def test_d11_model_converges_at_n3(self):
         # x^3 - 4x^2 - 112x + 656 (j = -32768): the mpmath-only sweeps ran
-        # 200 times at 160 bits without converging; guard bits finish it
+        # 200 times at 160 bits without converging; on the jet route two
+        # polish sweeps finish it
         phi = duplication_map(EllipticCurve(-4, -112, 656))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rep = periodic_points(phi, 3)
+        assert rep.count_distinct == 65 and len(rep.finite_points) == 64
+
+    def test_d11_model_converges_at_n3_at_64_bits(self):
+        # Horner on the n = 3 square-free part loses about 28 of the 30
+        # digits at 64 bits, and ran all max_sweeps; the jet loses none
+        phi = duplication_map(EllipticCurve(-4, -112, 656))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = periodic_points(phi, 3, precision=64)
+        assert rep.count_distinct == 65 and len(rep.finite_points) == 64
+
+    def test_quadratic_polynomial_converges_at_n6(self):
+        # -2z^2 + 3z + 2 at n = 6 (degree 64): Horner on the square-free
+        # part ran all max_sweeps and warned; the jet converges
+        phi = RationalMap(P(2, 3, -2), P(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = periodic_points(phi, 6)
         assert rep.count_distinct == 65 and len(rep.finite_points) == 64
 
     def test_count_route_matches_located_report(self):
@@ -577,6 +596,153 @@ class TestAberth:
                         for i, c in enumerate(F.coeffs)
                     )
                     assert abs(F.eval_mp(r)) < 1e-9 * scale
+
+
+def _pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _pair_div(x, y):
+    m = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / m, (x[1] * y[0] - x[0] * y[1]) / m)
+
+
+def _pair_eval(p, z):
+    """p(z) for a Poly p at a (real, imaginary) pair of Fractions."""
+    out = (Fraction(0), Fraction(0))
+    for c in reversed(p.coeffs):
+        out = _pair_mul(out, z)
+        out = (out[0] + c, out[1])
+    return out
+
+
+def _homogeneous(phi):
+    """phi's coefficients, lowest degree first, padded to phi.degree + 1."""
+    return [list(f.ints) + [0] * (phi.degree + 1 - len(f.ints)) for f in (phi.num, phi.den)]
+
+
+def _exact_correction(phi, n, z):
+    """F(z) / (F'(z) - k F(z) / z) from the expanded F = P_n - x Q_n, with k
+    the multiplicity of its zero root, in Fractions; and k."""
+    phin = iterate(phi, n)
+    F = phin.num - Poly.x() * phin.den
+    k = next(i for i, c in enumerate(F.ints) if c)
+    f, df = _pair_eval(F, z), _pair_eval(F.derivative(), z)
+    if k:
+        kf = _pair_div(f, z)
+        df = (df[0] - k * kf[0], df[1] - k * kf[1])
+    return _pair_div(f, df), k
+
+
+def _jet_maps():
+    rng = random.Random(131)
+    maps = [(duplication_map(EllipticCurve(*c)), 2) for c in _CM_CURVES]
+    maps += [(Z2, 3), (RationalMap(P(0, 1, 0, 2), P(3, 0, 1)), 3)]  # 0 is fixed
+    while len(maps) < 12:
+        phi = _random_map(rng, max_deg=3)
+        if phi.degree >= 2:
+            maps.append((phi, 3 if phi.degree == 2 else 2))
+    return maps
+
+
+_CM_CURVES = ((0, 0, 1), (4, 2, 0), (-3, -32, -64), (-4, -112, 656))
+_JET_POINTS = [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(5, 2), Fraction(1, 4)),
+               (Fraction(-7, 5), Fraction(0)), (Fraction(2, 9), Fraction(11, 3)),
+               (Fraction(-1, 8), Fraction(1, 16))]
+
+
+class TestJet:
+    """The Newton correction of P_n - x Q_n through phi's homogeneous pair
+    run n times with the chain rule, against the expanded polynomial."""
+
+    def test_jet_is_exact_in_fractions(self):
+        # z^8 - z and the map fixing 0 give F a simple zero root; the
+        # deflation F / (F' - k F / z) holds for any k
+        charts, ks = set(), set()
+        for phi, n in _jet_maps():
+            num, den = _homogeneous(phi)
+            for z in _JET_POINTS:
+                want, k = _exact_correction(phi, n, z)
+                ks.add(k)
+                jet = dynsys._jet_pairs(
+                    [Fraction(c) for c in num], [Fraction(c) for c in den], n, k, Fraction(1)
+                )
+                nr, ni, dr, di = jet(*z)
+                assert _pair_div((nr, ni), (dr, di)) == want, (phi, n, z)
+                # the chart of each step: |X| <= |Z| exactly when
+                # |phi^j(z)| <= 1, so X/Z is the Horner variable
+                x = z
+                for _ in range(n):
+                    charts.add(x[0] ** 2 + x[1] ** 2 <= 1)
+                    x = _pair_div(_pair_eval(phi.num, x), _pair_eval(phi.den, x))
+        assert charts == {True, False} and {0, 1} <= ks
+
+    def test_float_jet_matches_exact(self):
+        for phi, n in _jet_maps():
+            num, den = _homogeneous(phi)
+            scale = 1 << max(abs(c).bit_length() for c in num + den)
+            for z in _JET_POINTS:
+                want, k = _exact_correction(phi, n, z)
+                jet = dynsys._jet_float([c / scale for c in num], [c / scale for c in den], n, k)
+                got = jet(complex(z[0], z[1]))
+                want = complex(float(want[0]), float(want[1]))
+                assert abs(got - want) <= 1e-10 * abs(want), (phi, n, z)
+
+    @pytest.fixture
+    def evaluators(self, monkeypatch):
+        """The names of the evaluators ``aberth_roots`` builds, in order."""
+        built = []
+        for name in ("_horner_float", "_horner_pairs", "_jet_float", "_jet_pairs"):
+            def spy(*args, _name=name, _fn=getattr(dynsys, name)):
+                built.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(dynsys, name, spy)
+        return built
+
+    def test_periodic_points_selects_the_jet(self, evaluators):
+        phi = duplication_map(EllipticCurve(4, 2, 0))
+        for n in (1, 2):
+            evaluators.clear()
+            periodic_points(phi, n)
+            assert evaluators == ["_horner_float", "_horner_pairs"]
+        evaluators.clear()
+        periodic_points(phi, 3)
+        assert evaluators == ["_jet_float", "_jet_pairs"]
+        # z^2 + 1/4 has the multiplier-1 fixed point 1/2, a double root of F:
+        # at n = 5 the jet would cost less (30 < 33), but F is not square-free
+        parabolic = RationalMap(P(Fraction(1, 4), 0, 1), P(1))
+        count = periodic_count(parabolic, 5)
+        assert not count.finite_simple and 2 * 5 * 3 < 2**5 + 1
+        evaluators.clear()
+        periodic_points(parabolic, 5)
+        assert evaluators == ["_horner_float", "_horner_pairs"]
+        evaluators.clear()
+        periodic_points(Z2, 5)
+        assert evaluators == ["_jet_float", "_jet_pairs"]
+
+    def test_bare_polynomial_keeps_horner(self, evaluators):
+        F = periodic_count(duplication_map(EllipticCurve(4, 2, 0)), 3).squarefree
+        aberth_roots(F)
+        assert evaluators == ["_horner_float", "_horner_pairs"]
+
+    @pytest.mark.parametrize("phi, n", [
+        *((duplication_map(EllipticCurve(a * t, b * t**2, c * t**3)), 3)
+          for a, b, c in _CM_CURVES for t in (1, -1)),
+        (Z2, 5), (Z2, 6), (RationalMap(P(0, 1, 0, 2), P(3, 0, 1)), 3),
+        (RationalMap(P(1, -2, 0, 1), P(2, 1)), 3), (RationalMap(P(-2, 0, 1), P(3, 1)), 5),
+    ], ids=lambda v: str(v).replace(" ", "") if isinstance(v, RationalMap) else f"n{v}")
+    def test_jet_and_horner_routes_agree(self, phi, n):
+        count = periodic_count(phi, n)
+        assert count.finite_simple and 2 * n * (phi.degree + 1) < phi.degree**n + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = periodic_points(phi, n)
+            horner = aberth_roots(count.squarefree)
+        assert rep.finite_points == tuple(sorted(
+            (complex(float(z.real), float(z.imag)) for z in horner),
+            key=lambda v: (v.real, v.imag),
+        ))
 
 
 class TestZetaFromCounts:

@@ -465,6 +465,31 @@ def test_poly_mul_matches_schoolbook(a, b):
     assert poly_mul(a, b) == poly_mul_schoolbook(a, b)
 
 
+_ONE_TERM = st.builds(
+    lambda i, c, j: [0] * i + [c] + [0] * j,
+    st.integers(0, 30),
+    _COEFF.filter(bool),
+    st.integers(0, 30),
+)
+
+
+@settings(max_examples=200)
+@given(_ONE_TERM, st.lists(_COEFF, max_size=200), st.booleans())
+@example([1], [], False)
+@example([0, 0, -1], [0, 0, 0], True)
+@example([2**64 - 1], [_EDGE] * 5, False)
+def test_poly_mul_one_term_operand_is_shift_and_scale(term, other, term_first):
+    # a one-term factor (x^i times a nonzero c, padded with zeros) packs
+    # nothing, on either side of the product
+    def no_pack(v, width):
+        raise AssertionError("packed a one-term product")
+
+    a, b = (term, other) if term_first else (other, term)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "_kronecker_pack", no_pack)
+        assert poly_mul(a, b) == poly_mul_schoolbook(a, b)
+
+
 def test_poly_mul_long_factors():
     rng = random.Random(11)
     for la, lb in ((1, 200), (200, 1), (137, 200), (200, 200)):
