@@ -9,99 +9,70 @@ its K-theory type.  Every step is exact; floats appear only in point-doubling
 oracles and root location, never in a count or an invariant.
 """
 
-from .cfrac import ContinuedFraction, QuadSurd, convergents, expand, period_matrix
-from .dynsys import (
-    PeriodicCount,
-    PeriodicReport,
-    aberth_roots,
-    compose,
-    conjugate,
-    iterate,
-    periodic_count,
-    periodic_points,
-    zeta_from_counts,
-)
-from .errors import BudgetExceededError, DomainError, ParseError
-from .exactnum import Poly, QuadElem, companion_matrix
-from .intlinalg import IntMatrix2
-from .lattes import EllipticCurve, RationalMap, double_point, duplication_map, lift_y
-from .lattice import PseudoLattice, SublatticeData, hnf2, scale_lattice
-from .pipeline import (
-    ComparisonRow,
-    ConjugacyVerdict,
-    FunctorOutput,
-    apply_functor,
-    comparison_report,
-    conjugacy_test,
-    functor_invariants,
-)
-from .sft import (
-    AbelianGroupInvariant,
-    KInvariants,
-    SECertificate,
-    SEResult,
-    SFTMatrix,
-    SimilarityResult,
-    ZetaRational,
-    gl2z_similar,
-    k_invariants,
-    per_count_enumerate,
-    per_count_trace,
-    shift_equivalent,
-    zeta_sft,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroupInvariant",
-    "BudgetExceededError",
-    "ComparisonRow",
-    "ConjugacyVerdict",
-    "ContinuedFraction",
-    "DomainError",
-    "EllipticCurve",
-    "FunctorOutput",
-    "IntMatrix2",
-    "KInvariants",
-    "ParseError",
-    "PeriodicCount",
-    "PeriodicReport",
-    "Poly",
-    "PseudoLattice",
-    "QuadElem",
-    "QuadSurd",
-    "RationalMap",
-    "SECertificate",
-    "SEResult",
-    "SFTMatrix",
-    "SimilarityResult",
-    "SublatticeData",
-    "ZetaRational",
-    "aberth_roots",
-    "apply_functor",
-    "companion_matrix",
-    "comparison_report",
-    "compose",
-    "conjugacy_test",
-    "conjugate",
-    "convergents",
-    "double_point",
-    "duplication_map",
-    "expand",
-    "functor_invariants",
-    "gl2z_similar",
-    "hnf2",
-    "iterate",
-    "k_invariants",
-    "lift_y",
-    "per_count_enumerate",
-    "per_count_trace",
-    "period_matrix",
-    "periodic_count",
-    "periodic_points",
-    "scale_lattice",
-    "shift_equivalent",
-    "zeta_from_counts",
-    "zeta_sft",
-]
+# The module that defines each exported name.  A name is imported from its
+# module on first use, so ``import lattes_sft`` loads no submodule and a
+# CLI process loads only what its subcommand runs.
+_EXPORTS = {
+    "cfrac": ("ContinuedFraction", "QuadSurd", "convergents", "expand", "period_matrix"),
+    "dynsys": (
+        "PeriodicCount",
+        "PeriodicReport",
+        "aberth_roots",
+        "compose",
+        "conjugate",
+        "iterate",
+        "periodic_count",
+        "periodic_points",
+        "zeta_from_counts",
+    ),
+    "errors": ("BudgetExceededError", "DomainError", "ParseError"),
+    "exactnum": ("Poly", "QuadElem", "companion_matrix"),
+    "intlinalg": ("IntMatrix2",),
+    "lattes": ("EllipticCurve", "RationalMap", "double_point", "duplication_map", "lift_y"),
+    "lattice": ("PseudoLattice", "SublatticeData", "hnf2", "scale_lattice"),
+    "pipeline": (
+        "ComparisonRow",
+        "ConjugacyVerdict",
+        "FunctorOutput",
+        "apply_functor",
+        "comparison_report",
+        "conjugacy_test",
+        "functor_invariants",
+    ),
+    "sft": (
+        "AbelianGroupInvariant",
+        "KInvariants",
+        "SECertificate",
+        "SEResult",
+        "SFTMatrix",
+        "SimilarityResult",
+        "ZetaRational",
+        "gl2z_similar",
+        "k_invariants",
+        "per_count_enumerate",
+        "per_count_trace",
+        "shift_equivalent",
+        "zeta_sft",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # The value is looked up in its module on every access and never bound
+    # here: a wrapper put into the module for a while (a traced benchmark
+    # run does this) must not stay behind in this namespace.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys())

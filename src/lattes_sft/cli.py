@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 domain error (a named precondition failed),
 2 usage or parse error, 3 verification mismatch.  With --output json the
 whole stdout is a single JSON document; diagnostics go to stderr.
+
+Each subcommand imports the library modules it runs when it runs, so a
+process loads only those: ``cfrac`` loads cfrac, ``zeta`` and
+``shift-equiv`` exactnum and sft, ``periodic`` exactnum, lattes and dynsys,
+and ``functor``, ``compare`` and ``verify`` the whole chain.
 """
 
 from __future__ import annotations
@@ -14,20 +19,18 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 
-from .cfrac import ContinuedFraction, QuadSurd, expand
-from .dynsys import PRECISION_BUDGET, periodic_points
-from .errors import DomainError, ParseError
-from .exactnum import Poly, QuadElem
+from .errors import PRECISION_BUDGET, DomainError, ParseError
 from .intlinalg import IntMatrix2, matrix_text
-from .lattes import EllipticCurve, RationalMap, duplication_map
-from .lattice import PseudoLattice, scale_lattice
-from .pipeline import apply_functor, comparison_report, functor_invariants
-from .sft import SFTMatrix, ZetaRational, shift_equivalent, zeta_sft
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+
+# Value types matched by module and class name, not by class, so that
+# writing a document imports no module its subcommand did not load.
+_TEXT_TYPES = {f"{__package__}.exactnum.QuadElem", f"{__package__}.cfrac.QuadSurd"}
+_POLY_TYPE = f"{__package__}.exactnum.Poly"
 
 
 def _plain(obj):
@@ -35,9 +38,10 @@ def _plain(obj):
     fields in declaration order, those that are None left out."""
     if isinstance(obj, IntMatrix2):
         return obj.rows()
-    if isinstance(obj, (QuadElem, QuadSurd, Fraction)):
+    kind = f"{type(obj).__module__}.{type(obj).__qualname__}"
+    if isinstance(obj, Fraction) or kind in _TEXT_TYPES:
         return str(obj)
-    if isinstance(obj, Poly):
+    if kind == _POLY_TYPE:
         return [str(c) for c in obj.coeffs]
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
@@ -70,6 +74,10 @@ def _functor_text(out) -> list[str]:
 
 
 def cmd_functor(args) -> int:
+    from .exactnum import QuadElem
+    from .lattes import EllipticCurve
+    from .pipeline import apply_functor, functor_invariants
+
     eps = QuadElem.parse(args.eps)
     if args.curve is not None:
         E = EllipticCurve.parse(args.curve, cm_D=args.D)
@@ -81,13 +89,17 @@ def cmd_functor(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    from .sft import SFTMatrix, zeta_sft
+
     A = SFTMatrix.parse(args.matrix)
     z = zeta_sft(A)
     _emit({"matrix": A.rows, "zeta": z}, lambda: [str(z)], args)
     return EXIT_OK
 
 
-def _map_from_args(args) -> RationalMap:
+def _map_from_args(args):
+    from .lattes import EllipticCurve, RationalMap, duplication_map
+
     if args.map is not None:
         return RationalMap.parse(args.map)
     if args.curve is not None:
@@ -96,6 +108,8 @@ def _map_from_args(args) -> RationalMap:
 
 
 def cmd_periodic(args) -> int:
+    from .dynsys import periodic_points
+
     phi = _map_from_args(args)
     rep = periodic_points(phi, args.n, args.precision)
 
@@ -115,6 +129,8 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_shift_equiv(args) -> int:
+    from .sft import SFTMatrix, shift_equivalent
+
     A = SFTMatrix.parse(args.A)
     B = SFTMatrix.parse(args.B)
     res = shift_equivalent(A, B, args.entry_bound, args.lag_bound)
@@ -137,6 +153,8 @@ def cmd_shift_equiv(args) -> int:
 
 
 def cmd_cfrac(args) -> int:
+    from .cfrac import QuadSurd, expand
+
     surd = QuadSurd.parse(args.surd)
     cf = expand(surd)
     _emit({"surd": surd, "cf": cf}, lambda: [str(cf)], args)
@@ -144,6 +162,10 @@ def cmd_cfrac(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .exactnum import QuadElem
+    from .lattes import EllipticCurve, duplication_map
+    from .pipeline import comparison_report
+
     eps = QuadElem.parse(args.eps)
     E = EllipticCurve.parse(args.curve, cm_D=args.D)
     rows = comparison_report(E, eps, args.n)
@@ -176,6 +198,13 @@ def cmd_compare(args) -> int:
 
 def _verify_checks() -> list[tuple[str, str, str]]:
     """Replay the worked doubling example; returns (name, expected, got)."""
+    from .cfrac import ContinuedFraction, QuadSurd
+    from .exactnum import Poly, QuadElem
+    from .lattes import EllipticCurve, RationalMap, duplication_map
+    from .lattice import PseudoLattice, scale_lattice
+    from .pipeline import apply_functor
+    from .sft import ZetaRational
+
     checks: list[tuple[str, str, str]] = []
     curve = EllipticCurve(4, 2, 0, cm_D=2)
     eps = QuadElem(0, 1, 2)

@@ -57,7 +57,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, zip_longest
 
-from .errors import BudgetExceededError, DomainError
+from .errors import PRECISION_BUDGET, BudgetExceededError, DomainError
 from .exactnum import Poly
 from .intlinalg import IntMatrix2, poly_mul
 from .lattes import RationalMap
@@ -68,12 +68,6 @@ from .lattes import RationalMap
 # degree-4^6 iterate 25-32 s, nearly all of it in the Kronecker products of
 # the last composition.
 ITERATE_DEGREE_BUDGET = 4**5
-
-# Largest root-location precision in bits: at 4096 bits ``periodic --curve
-# 4,2,0`` takes 0.6 s as a process at n = 2 and 3.9-4.2 s at n = 3 on a
-# 2-core container, and the D = 11 model (``--curve -4,-112,656``) 0.5 s
-# and 4.3-4.4 s.
-PRECISION_BUDGET = 4096
 
 # Largest degree phi.degree^n whose periodic points ``periodic_points``
 # locates: on a 2-core container ``periodic --curve 4,2,0 -n 3`` (degree

@@ -355,15 +355,20 @@ class TestConfig:
         assert rc == 2
 
 
-def _python_m_verify(module: str):
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _python_m_verify(module: str):
     return subprocess.run(
         [sys.executable, "-m", module, "--output", "json", "verify"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         timeout=60,
     )
 
@@ -421,3 +426,64 @@ def test_only_periodic_loads_mpmath():
         [sys.executable, "-c", _MPMATH_PROBE], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_MODULES_PROBE = """
+import contextlib, io, sys
+
+argv = sys.argv[1:]
+if argv:
+    from lattes_sft import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--output", "json", *argv]) == 0, argv
+else:
+    import lattes_sft
+print(" ".join(sorted(k[len("lattes_sft."):] for k in sys.modules if k.startswith("lattes_sft."))))
+"""
+
+_CLI_BASE = {"cli", "errors", "intlinalg"}
+_ALL_MODULES = _CLI_BASE | {"cfrac", "dynsys", "exactnum", "lattes", "lattice", "pipeline", "sft"}
+_EPS = ["--D", "2", "--eps", "0+1*sqrt(2)"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        pytest.param([], set(), id="import"),
+        pytest.param(["cfrac", "--surd", "(1+sqrt(7))/2"], _CLI_BASE | {"cfrac"}, id="cfrac"),
+        pytest.param(["zeta", "--matrix", "1,1;1,0"], _CLI_BASE | {"exactnum", "sft"}, id="zeta"),
+        pytest.param(
+            ["shift-equiv", "--A", "0,1;2,0", "--B", "0,2;1,0"],
+            _CLI_BASE | {"exactnum", "sft"},
+            id="shift-equiv",
+        ),
+        pytest.param(
+            ["periodic", "--curve", "4,2,0", "-n", "1"],
+            _CLI_BASE | {"exactnum", "lattes", "dynsys"},
+            id="periodic",
+        ),
+        pytest.param(["functor", *_EPS], _ALL_MODULES, id="functor"),
+        pytest.param(["verify"], _ALL_MODULES, id="verify"),
+        pytest.param(["compare", "--curve", "4,2,0", *_EPS, "-n", "1"], _ALL_MODULES, id="compare"),
+    ],
+)
+def test_subcommand_loads_only_its_modules(argv, modules):
+    # a fresh interpreter: a bare import loads no submodule, and each
+    # subcommand loads exactly the package modules it runs
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == modules
+
+
+def test_precision_help_states_the_budget():
+    from lattes_sft import dynsys
+
+    help_text = " ".join(cli.build_parser().format_help().split())
+    assert f"(64 to {dynsys.PRECISION_BUDGET})" in help_text

@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lattes_sft"
 
@@ -59,6 +61,37 @@ def test_exports_resolve_once():
     assert len(names) == len(set(names)), "a name is exported twice"
     missing = [n for n in names if not hasattr(lattes_sft, n)]
     assert not missing, f"__all__ names what the package does not define: {missing}"
+
+
+def test_lazy_package_surface():
+    import lattes_sft
+
+    names = set(lattes_sft.__all__)
+    assert names <= set(dir(lattes_sft))
+    star: dict = {}
+    exec("from lattes_sft import *", star)
+    assert names <= star.keys()
+    assert all(star[n] is getattr(lattes_sft, n) for n in names)
+    exec("from lattes_sft import pipeline", star)
+    assert star["pipeline"] is sys.modules["lattes_sft.pipeline"]
+    with pytest.raises(AttributeError, match="module 'lattes_sft' has no attribute 'no_such_name'"):
+        lattes_sft.no_such_name
+
+
+def test_resolved_names_are_not_cached(monkeypatch):
+    # perfbench/spans.py swaps wrappers into the package's modules for a
+    # traced round and then restores them; the package must follow both
+    import lattes_sft
+    from lattes_sft import sft
+
+    def wrapper():
+        pass
+
+    monkeypatch.setattr(sft, "zeta_sft", wrapper)
+    assert lattes_sft.zeta_sft is wrapper
+    monkeypatch.undo()
+    assert lattes_sft.zeta_sft is sft.zeta_sft is not wrapper
+    assert "zeta_sft" not in vars(lattes_sft)
 
 
 def test_perfbench_span_targets_resolve(monkeypatch):
