@@ -126,13 +126,13 @@ class ContinuedFraction:
     period: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(int(b) for b in self.preperiod))
-        object.__setattr__(self, "period", tuple(int(a) for a in self.period))
+        object.__setattr__(self, "preperiod", tuple(map(int, self.preperiod)))
+        object.__setattr__(self, "period", tuple(map(int, self.period)))
         if not self.period:
             raise DomainError("period must be nonempty")
-        if any(a < 1 for a in self.period):
+        if min(self.period) < 1:
             raise DomainError("period entries must be >= 1")
-        if any(b < 1 for b in self.preperiod[1:]):
+        if min(self.preperiod[1:], default=1) < 1:
             raise DomainError("preperiod entries after the first must be >= 1")
 
     def quotients(self, n: int) -> list[int]:

@@ -10,9 +10,10 @@ on the bare 4-tuples of ``cfrac.period_matrix``, and ``matrix_text`` is
 the one text form of a matrix.  Everything here is pure and exact:
 products, characteristic polynomials (Faddeev-LeVerrier in integers), and
 one integer elimination, ``column_echelon``, behind the Smith diagonal,
-integer kernels, and the bounded enumeration, in increasing order, of the
-integer solution lattice of a Sylvester constraint A X = X B and of its
-points with f(X) = C for a linear map f (``lattice_solutions``).
+absolute determinants, integer kernels, and the bounded enumeration, in
+increasing order, of the integer solution lattice of a Sylvester constraint
+A X = X B and of its points with f(X) = C for a linear map f
+(``lattice_solutions``).
 ``column_echelon`` clears each row by Euclid steps, least pivot first,
 into the unique reduced Hermite basis; ``xgcd`` serves only ``lattice.hnf2``.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import add, le, mul, sub
 
 from .errors import BudgetExceededError
@@ -298,6 +299,14 @@ def smith_normal_form(M) -> tuple[int, ...]:
         for j in range(i + 1, len(d)):
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     return tuple(d) + (0,) * (min(len(M), len(M[0])) - len(d))
+
+
+def abs_det(rows) -> int:
+    """|det| of a square integer matrix: the index of its column lattice,
+    the product of the echelon pivots, or 0 when there are fewer than n."""
+    ech = column_echelon(list(zip(*rows)))
+    # n pivots in n rows: column i has its pivot at row i
+    return prod(c[i] for i, c in enumerate(ech)) if len(ech) == len(rows) else 0
 
 
 def kernel_basis(M) -> list[tuple[int, ...]]:

@@ -9,7 +9,9 @@ any certificate (R, S, k) satisfies the Sylvester constraints A R = R B and
 B S = S A.  The candidates for R are the points of the first lattice in the
 entry box; for each lag and R, the S are the integer points of the second
 lattice with R S = A^k and S R = B^k, found by one integer solve
-(``intlinalg.lattice_solutions``).  Exhausting the bounds yields Unknown.
+(``intlinalg.lattice_solutions``).  As det R det S = det(A)^k, when
+det A != 0 an R whose determinant is 0 or does not divide det(A)^k has no S
+at lag k, and is skipped without a solve.  Exhausting the bounds yields Unknown.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import BudgetExceededError, DomainError, ParseError
 from .exactnum import Poly
 from .intlinalg import (
     IntMatrix2,
+    abs_det,
     charpoly,
     identity,
     is_square,
@@ -299,9 +302,12 @@ def shift_equivalent(
     least one inside the bounds: R runs over the box points of the lattice
     {A R = R B}, and for each lag k and R one integer solve on the lattice
     {B S = S A} gives the least S with R S = A^k and S R = B^k, singular R
-    or not.  Past SEARCH_BUDGET, or past BOX_POINT_BUDGET candidates for R,
-    the result is unknown.  Past the pre-filters, n^12 b^2 over SYLVESTER_BUDGET
-    raises BudgetExceededError before any Sylvester system is eliminated.
+    or not.  As det R det S = det(A)^k, when det A != 0 an R with det R = 0
+    or det R not dividing det(A)^k is skipped unsolved; it is still charged
+    to the budget, so verdicts and witnesses do not change.  Past
+    SEARCH_BUDGET, or past BOX_POINT_BUDGET candidates for R, the result is
+    unknown.  Past the pre-filters, n^12 b^2 over SYLVESTER_BUDGET raises
+    BudgetExceededError before any Sylvester system is eliminated.
     A = B short-circuits to the reflexivity certificate (I, A, 1).
     """
     if A.n != B.n:
@@ -337,14 +343,23 @@ def shift_equivalent(
     s_basis = sylvester_basis(B.rows, A.rows)
     size = 2 * A.n * A.n * (len(s_basis) + 1)
     work = 0
+    # |det A|, 0 when A is singular; det R det S = det(A)^k
+    det_a = abs(pa[0]) if len(pa) == A.n + 1 else 0
+    r_dets: list[int] = []  # |det R| of each R, filled at lag 1
     try:
         r_cands = sylvester_solutions(A.rows, B.rows, 0, entry_bound)
         for k in range(1, lag_bound + 1):
             AkBk = mat_pow(A.rows, k) + mat_pow(B.rows, k)
-            for R in r_cands:
+            det_ak = det_a**k
+            for i, R in enumerate(r_cands):
                 work += size
                 if work > SEARCH_BUDGET:
                     raise BudgetExceededError(f"SEARCH_BUDGET = {SEARCH_BUDGET}")
+                if det_a:
+                    if k == 1:
+                        r_dets.append(abs_det(R))
+                    if not r_dets[i] or det_ak % r_dets[i]:
+                        continue  # no integer S has R S = A^k
                 # R S = A^k stacked on S R = B^k
                 f = lambda S: mat_mul(R, S) + mat_mul(S, R)  # noqa: E731
                 S = next(lattice_solutions(s_basis, A.n, f, AkBk, 0, entry_bound), None)

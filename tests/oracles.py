@@ -208,16 +208,10 @@ def poly_divmod_fraction(a, b):
     return q, r
 
 
-def shift_equivalent_scan(A, B, entry_bound: int = 10, lag_bound: int = 6,
-                          budget: int = 2 * 10**6):
-    """Reference shift-equivalence search with two paths: a nonsingular R
-    gets its only candidate S = R^-1 A^k by Gauss-Jordan elimination in
-    Fractions, a singular R scans every S of the Sylvester box in
-    increasing order; ``budget`` counts the S scanned.  Shares the
-    pre-filters and the list of R candidates with ``sft.shift_equivalent``."""
-    from lattes_sft.intlinalg import (
-        identity, mat_mul, mat_pow, solve_right, sylvester_solutions,
-    )
+def _se_prefilters(A, B):
+    """The verdict of ``sft.shift_equivalent`` before its search (A = B, then
+    the charpoly and Bowen-Franks pre-filters), or None."""
+    from lattes_sft.intlinalg import identity
     from lattes_sft.sft import (
         SECertificate, SEResult, _nonsingular_charpoly, _poly_text, k_invariants,
     )
@@ -239,6 +233,64 @@ def shift_equivalent_scan(A, B, entry_bound: int = 10, lag_bound: int = 6,
         return SEResult(
             "not_equivalent", witness=f"Bowen-Franks groups differ: {bfa} vs {bfb}"
         )
+    return None
+
+
+def shift_equivalent_unfiltered(A, B, entry_bound: int = 10, lag_bound: int = 6,
+                                budget: int = 5 * 10**6):
+    """Reference shift-equivalence search without the determinant test: the
+    (lag, R) loop of ``sft.shift_equivalent`` that gives every R of the box
+    one lattice solve at every lag, charging 2 n^2 (dim{B S = S A} + 1)
+    entries per (lag, R) against ``budget`` before the solve."""
+    from lattes_sft.errors import BudgetExceededError
+    from lattes_sft.intlinalg import (
+        lattice_solutions, mat_mul, mat_pow, sylvester_basis, sylvester_solutions,
+    )
+    from lattes_sft.sft import SECertificate, SEResult
+
+    pre = _se_prefilters(A, B)
+    if pre is not None:
+        return pre
+    s_basis = sylvester_basis(B.rows, A.rows)
+    size = 2 * A.n * A.n * (len(s_basis) + 1)
+    work = 0
+    try:
+        r_cands = sylvester_solutions(A.rows, B.rows, 0, entry_bound)
+        for k in range(1, lag_bound + 1):
+            AkBk = mat_pow(A.rows, k) + mat_pow(B.rows, k)
+            for R in r_cands:
+                work += size
+                if work > budget:
+                    raise BudgetExceededError("budget")
+                f = lambda S, R=R: mat_mul(R, S) + mat_mul(S, R)  # noqa: E731
+                S = next(lattice_solutions(s_basis, A.n, f, AkBk, 0, entry_bound), None)
+                if S is not None:
+                    return SEResult(
+                        "equivalent", certificate=SECertificate.build(A, B, R, S, k)
+                    )
+    except BudgetExceededError:
+        return SEResult(
+            "unknown", witness="search budget exceeded before exhausting bounds"
+        )
+    return SEResult(
+        "unknown",
+        witness=f"no certificate with entries <= {entry_bound} and lag <= {lag_bound}",
+    )
+
+
+def shift_equivalent_scan(A, B, entry_bound: int = 10, lag_bound: int = 6,
+                          budget: int = 2 * 10**6):
+    """Reference shift-equivalence search with two paths: a nonsingular R
+    gets its only candidate S = R^-1 A^k by Gauss-Jordan elimination in
+    Fractions, a singular R scans every S of the Sylvester box in
+    increasing order; ``budget`` counts the S scanned.  Shares the
+    pre-filters and the list of R candidates with ``sft.shift_equivalent``."""
+    from lattes_sft.intlinalg import mat_mul, mat_pow, solve_right, sylvester_solutions
+    from lattes_sft.sft import SECertificate, SEResult
+
+    pre = _se_prefilters(A, B)
+    if pre is not None:
+        return pre
     r_cands = sorted(sylvester_solutions(A.rows, B.rows, 0, entry_bound))
     s_cands = sorted(sylvester_solutions(B.rows, A.rows, 0, entry_bound))
     work = 0

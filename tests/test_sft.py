@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from lattes_sft import (
     AbelianGroupInvariant,
@@ -22,8 +23,8 @@ from lattes_sft import (
     zeta_sft,
 )
 from lattes_sft import intlinalg, sft
-from lattes_sft.intlinalg import mat_mul
-from oracles import random_unimodular, shift_equivalent_scan
+from lattes_sft.intlinalg import charpoly, mat_mul
+from oracles import random_unimodular, shift_equivalent_scan, shift_equivalent_unfiltered
 
 A_WORKED = SFTMatrix(((0, 1), (2, 0)))
 B_WORKED = SFTMatrix(((0, 2), (1, 0)))
@@ -272,7 +273,7 @@ class TestShiftEquivalent:
 
     def test_exhausts_bounds_past_the_invariants(self):
         # equal charpoly and Bowen-Franks group, but not similar over Q; every
-        # (lag, R) in the bounds is solved and none has an S
+        # (lag, R) in the bounds is searched and none has an S
         A = SFTMatrix.parse("2,0,0;0,2,0;0,0,3")
         B = SFTMatrix.parse("2,1,0;0,2,0;0,0,3")
         assert k_invariants(A).bowen_franks == k_invariants(B).bowen_franks
@@ -280,21 +281,62 @@ class TestShiftEquivalent:
         assert res.status == "unknown"
         assert res.witness == "no certificate with entries <= 10 and lag <= 6"
 
-    def test_search_budget_counts_system_entries(self, monkeypatch):
+    def test_singular_candidates_are_never_solved(self, monkeypatch):
+        # A and B are not similar over Q, so every R with A R = R B is
+        # singular and the determinant test skips it at every lag
         A = SFTMatrix.parse("2,0,0;0,2,0;0,0,3")
         B = SFTMatrix.parse("2,1,0;0,2,0;0,0,3")
-        assert sft.SEARCH_BUDGET == 5 * 10**6
         solves = []
         real = sft.lattice_solutions
         monkeypatch.setattr(
             sft, "lattice_solutions", lambda *a: solves.append(1) or real(*a)
         )
-        # a 3-dimensional lattice of S: 18 equations in 4 unknowns per solve
-        monkeypatch.setattr(sft, "SEARCH_BUDGET", 5 * 72 + 71)
         res = shift_equivalent(A, B)
-        assert res.status == "unknown"
-        assert res.witness == "search budget exceeded before exhausting bounds"
-        assert len(solves) == 5
+        assert res.witness == "no certificate with entries <= 10 and lag <= 6"
+        assert solves == []
+
+    def test_solved_candidates_have_dividing_determinants(self, monkeypatch):
+        A = SFTMatrix.parse("1,0,0;0,1,0;0,0,2")
+        B = SFTMatrix.parse("2,0,0;0,1,0;0,0,1")
+        solved = []
+        real = sft.lattice_solutions
+
+        def spy(basis, n, f, AkBk, lo, hi):
+            # f(I) is R stacked on R, and the target A^k stacked on B^k
+            R = f(intlinalg.identity(n))[:n]
+            k = next(k for k in range(1, 7) if intlinalg.mat_pow(A.rows, k) == AkBk[:n])
+            solved.append((R, k))
+            return real(basis, n, f, AkBk, lo, hi)
+
+        monkeypatch.setattr(sft, "lattice_solutions", spy)
+        assert shift_equivalent(A, B, entry_bound=2).status == "equivalent"
+        assert solved
+        for R, k in solved:
+            d = abs(sympy.Matrix(R).det())
+            assert d and 2**k % d == 0, (R, k)
+
+    def test_search_budget_counts_system_entries(self, monkeypatch):
+        A = SFTMatrix.parse("2,0,0;0,2,0;0,0,3")
+        B = SFTMatrix.parse("2,1,0;0,2,0;0,0,3")
+        assert sft.SEARCH_BUDGET == 5 * 10**6
+        # every (lag, R) is charged before its determinant test, and no R of
+        # this pair passes the test, so the R tested are the charges that
+        # stayed within the budget
+        tested, solves = [], []
+        real_det, real_solve = sft.abs_det, sft.lattice_solutions
+        monkeypatch.setattr(sft, "abs_det", lambda R: tested.append(R) or real_det(R))
+        monkeypatch.setattr(
+            sft, "lattice_solutions", lambda *a: solves.append(1) or real_solve(*a)
+        )
+        # a 3-dimensional lattice of S: 18 equations in 4 unknowns per (lag, R)
+        for budget, charges in ((5 * 72 + 71, 5), (6 * 72, 6)):
+            tested.clear()
+            monkeypatch.setattr(sft, "SEARCH_BUDGET", budget)
+            res = shift_equivalent(A, B)
+            assert res.status == "unknown"
+            assert res.witness == "search budget exceeded before exhausting bounds"
+            assert len(tested) == charges
+        assert solves == []
 
     def test_sylvester_budget_before_any_elimination(self, monkeypatch):
         A = SFTMatrix.parse("1,1;1,0")
@@ -424,6 +466,29 @@ def test_matches_two_path_scan():
             assert shift_equivalent(A, B, *bounds) == ref, (A, B, bounds)
             compared += 1
     assert compared >= 400
+
+
+def test_determinant_filter_matches_unfiltered_search(monkeypatch):
+    # the same SEResult as the search that solves every (lag, R), singular A
+    # included, and the same budget witness under small search budgets
+
+    # the least certificate is at lag 2, with det R = 9 dividing 6^2, not 6
+    A, B = SFTMatrix.parse("0,3;2,1"), SFTMatrix.parse("1,3;2,0")
+    res = shift_equivalent(A, B, 4, 3)
+    assert res == shift_equivalent_unfiltered(A, B, 4, 3)
+    assert res.certificate.k == 2
+    rng = random.Random(229)
+    singular = stopped = 0
+    for i in range(600):
+        A, B = _random_pair(rng)
+        bounds = (rng.randint(1, 3), rng.randint(1, 3))
+        budget = 5 * 10**6 if i % 3 else rng.randint(0, 300)
+        monkeypatch.setattr(sft, "SEARCH_BUDGET", budget)
+        ref = shift_equivalent_unfiltered(A, B, *bounds, budget=budget)
+        assert shift_equivalent(A, B, *bounds) == ref, (A, B, bounds, budget)
+        singular += charpoly(A.rows)[0] == 0
+        stopped += ref.witness == BUDGET_WITNESS
+    assert singular >= 100 and stopped >= 30
 
 
 def test_verdict_monotone_in_bounds():
