@@ -10,10 +10,10 @@ on the bare 4-tuples of ``cfrac.period_matrix``, and ``matrix_text`` is
 the one text form of a matrix.  Everything here is pure and exact:
 products, characteristic polynomials (Faddeev-LeVerrier in integers), and
 one integer elimination, ``column_echelon``, behind the Smith diagonal,
-absolute determinants, integer kernels, and the bounded enumeration, in
-increasing order, of the integer solution lattice of a Sylvester constraint
-A X = X B and of its points with f(X) = C for a linear map f
-(``lattice_solutions``).
+absolute determinants, integer kernels, and the lazy bounded enumeration,
+in increasing lexicographic or signed order, of the integer solution
+lattice of a Sylvester constraint A X = X B and of its points with
+f(X) = C for a linear map f (``lattice_solutions``).
 ``column_echelon`` clears each row by Euclid steps, least pivot first,
 into the unique reduced Hermite basis; ``xgcd`` serves only ``lattice.hnf2``.
 """
@@ -351,9 +351,11 @@ def column_echelon(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(c) for c in out]
 
 
-def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi) -> Iterator[tuple[int, ...]]:
+def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi, signed=False) -> Iterator[tuple[int, ...]]:
     """The vectors of the lattice spanned by echelon columns with coordinate
-    r in [lo[r], hi[r]], in increasing lexicographic order; an int bound is
+    r in [lo[r], hi[r]], made as they are read, in increasing lexicographic
+    order, or with ``signed`` in signed order: by |v[r]| coordinate by
+    coordinate, a non-negative entry before a negative one.  An int bound is
     the bound of every coordinate.  Raises BudgetExceededError on reaching
     a point past the first BOX_POINT_BUDGET."""
     lo = (lo,) * N if isinstance(lo, int) else tuple(lo)
@@ -366,7 +368,8 @@ def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi) -> Iterat
         return all(map(le, lo[r0:r1], part)) and all(map(le, part, hi[r0:r1]))
 
     # depth first: the rows of a node's v above pivots[i] are in the box and
-    # fixed below it, and v grows with the coefficient of column i
+    # fixed below it, and the coefficient of column i sets v[pivots[i]], so
+    # the children of a node, ordered by that entry, keep either order
     stack = [(0, (0,) * N)] if inside((0,) * N, 0, pivots[0]) else []
     while stack:
         i, v = stack.pop()
@@ -380,13 +383,17 @@ def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi) -> Iterat
         cmin = -((v[p] - lo[p]) // col[p])
         cmax = (hi[p] - v[p]) // col[p]
         v = tuple(map(add, v, map(cmax.__mul__, col)))
+        top = len(stack)
         for _ in range(cmin, cmax + 1):  # pushed largest first, so popped smallest first
             if inside(v, p, pivots[i + 1]):
                 stack.append((i + 1, v))
             v = tuple(map(sub, v, col))
+        if signed:
+            stack[top:] = sorted(stack[top:], key=lambda u: (abs(u[1][p]), u[1][p] < 0), reverse=True)
 
 
-def _matrix(v, n: int) -> Rows:
+def unflatten(v, n: int) -> Rows:
+    """The n x n matrix whose rows are v read n entries at a time."""
     return tuple(tuple(v[i * n : i * n + n]) for i in range(n))
 
 
@@ -405,7 +412,7 @@ def sylvester_solutions(A, B, lo: int, hi: int) -> list[Rows]:
     """Integer matrices X with A X = X B and every entry in [lo, hi], in
     increasing order."""
     n = len(A)
-    return [_matrix(v, n) for v in lattice_points_in_box(sylvester_basis(A, B), n * n, lo, hi)]
+    return [unflatten(v, n) for v in lattice_points_in_box(sylvester_basis(A, B), n * n, lo, hi)]
 
 
 def lattice_solutions(basis, n: int, f, C, lo: int, hi: int) -> Iterator[Rows]:
@@ -418,12 +425,12 @@ def lattice_solutions(basis, n: int, f, C, lo: int, hi: int) -> Iterator[Rows]:
     form, as in ``kernel_basis``, and enumerated at t = 1."""
     N = n * n
     graph = [tuple(-v for row in C for v in row) + (1,) + (0,) * N] + [
-        tuple(v for row in f(_matrix(b, n)) for v in row) + (0,) + tuple(b) for b in basis
+        tuple(v for row in f(unflatten(b, n)) for v in row) + (0,) + tuple(b) for b in basis
     ]
     m = len(graph[0]) - N - 1
     ech = [c[m:] for c in column_echelon(graph) if not any(c[:m])]
     for v in lattice_points_in_box(ech, N + 1, [1] + [lo] * N, [1] + [hi] * N):
-        yield _matrix(v[1:], n)
+        yield unflatten(v[1:], n)
 
 
 def solve_right(R, C):

@@ -7,8 +7,9 @@ Bowen-Franks group are isomorphic, see ``k_invariants``).  Shift equivalence
 is decided by invariant pre-filters followed by a bounded exhaustive search:
 any certificate (R, S, k) satisfies the Sylvester constraints A R = R B and
 B S = S A.  The candidates for R are the points of the first lattice in the
-entry box; for each lag and R, the S are the integer points of the second
-lattice with R S = A^k and S R = B^k, found by one integer solve
+entry box, read as the search reaches them (BOX_POINT_BUDGET counts those);
+for each lag and R, the S are the integer points of the second lattice with
+R S = A^k and S R = B^k, found by one integer solve
 (``intlinalg.lattice_solutions``).  As det R det S = det(A)^k, when
 det A != 0 an R whose determinant is 0 or does not divide det(A)^k has no S
 at lag k, and is skipped without a solve.  Exhausting the bounds yields Unknown.
@@ -28,6 +29,7 @@ from .intlinalg import (
     charpoly,
     identity,
     is_square,
+    lattice_points_in_box,
     lattice_solutions,
     mat_mul,
     mat_pow,
@@ -36,8 +38,9 @@ from .intlinalg import (
     scalar_matrix,
     smith_normal_form,
     sylvester_basis,
-    sylvester_solutions,
+    sylvester_solutions,  # noqa: F401  unused here, but a name of sft that tests patch
     trace,
+    unflatten,
 )
 
 ENUMERATION_BUDGET = 10**7
@@ -304,9 +307,10 @@ def shift_equivalent(
     {B S = S A} gives the least S with R S = A^k and S R = B^k, singular R
     or not.  As det R det S = det(A)^k, when det A != 0 an R with det R = 0
     or det R not dividing det(A)^k is skipped unsolved; it is still charged
-    to the budget, so verdicts and witnesses do not change.  Past
-    SEARCH_BUDGET, or past BOX_POINT_BUDGET candidates for R, the result is
-    unknown.  Past the pre-filters, n^12 b^2 over SYLVESTER_BUDGET raises
+    to the budget, so verdicts and witnesses do not change.  R is read one
+    at a time at lag 1 and kept for later lags.  Past SEARCH_BUDGET, or
+    past BOX_POINT_BUDGET candidates for R reached, the result is unknown.
+    Past the pre-filters, n^12 b^2 over SYLVESTER_BUDGET raises
     BudgetExceededError before any Sylvester system is eliminated.
     A = B short-circuits to the reflexivity certificate (I, A, 1).
     """
@@ -345,21 +349,22 @@ def shift_equivalent(
     work = 0
     # |det A|, 0 when A is singular; det R det S = det(A)^k
     det_a = abs(pa[0]) if len(pa) == A.n + 1 else 0
-    r_dets: list[int] = []  # |det R| of each R, filled at lag 1
+    r_points = lattice_points_in_box(sylvester_basis(A.rows, B.rows), A.n * A.n, 0, entry_bound)
+    r_read = []  # (R, |det R|) of each R read at lag 1; |det R| is 0 when det A = 0
     try:
-        r_cands = sylvester_solutions(A.rows, B.rows, 0, entry_bound)
         for k in range(1, lag_bound + 1):
             AkBk = mat_pow(A.rows, k) + mat_pow(B.rows, k)
             det_ak = det_a**k
-            for i, R in enumerate(r_cands):
+            cands = ((unflatten(v, A.n), None) for v in r_points) if k == 1 else r_read
+            for R, d in cands:
                 work += size
                 if work > SEARCH_BUDGET:
                     raise BudgetExceededError(f"SEARCH_BUDGET = {SEARCH_BUDGET}")
-                if det_a:
-                    if k == 1:
-                        r_dets.append(abs_det(R))
-                    if not r_dets[i] or det_ak % r_dets[i]:
-                        continue  # no integer S has R S = A^k
+                if d is None:
+                    d = abs_det(R) if det_a else 0
+                    r_read.append((R, d))
+                if det_a and (not d or det_ak % d):
+                    continue  # no integer S has R S = A^k
                 # R S = A^k stacked on S R = B^k
                 f = lambda S: mat_mul(R, S) + mat_mul(S, R)  # noqa: E731
                 S = next(lattice_solutions(s_basis, A.n, f, AkBk, 0, entry_bound), None)
@@ -376,13 +381,10 @@ def shift_equivalent(
     )
 
 
-def _signed_key(rows) -> tuple:
-    """Order matrices by absolute entry size, non-negative before negative."""
-    return tuple((abs(v), 0 if v >= 0 else 1) for r in rows for v in r)
-
-
 def gl2z_similar(A: IntMatrix2, B: IntMatrix2, bound: int = 10) -> SimilarityResult:
-    """Decide GL2(Z) similarity A' = T^{-1} A T within the entry bound."""
+    """Decide GL2(Z) similarity A' = T^{-1} A T within the entry bound: the
+    T with A T = T B are read in signed order (``lattice_points_in_box``),
+    and the first unimodular one, the least in that order, is returned."""
     if bound < 1:
         raise DomainError("bound must be >= 1")
     if A == B:
@@ -411,11 +413,10 @@ def gl2z_similar(A: IntMatrix2, B: IntMatrix2, bound: int = 10) -> SimilarityRes
                         f"{list(dA)} vs {list(dB)}"
                     ),
                 )
-    cands = sylvester_solutions(A.rows(), B.rows(), -bound, bound)
-    valid = [T for T in cands if abs(T[0][0] * T[1][1] - T[0][1] * T[1][0]) == 1]
-    if valid:
-        best = min(valid, key=_signed_key)
-        return SimilarityResult("similar", T=IntMatrix2.from_rows(best))
+    basis = sylvester_basis(A.rows(), B.rows())
+    for a, b, c, d in lattice_points_in_box(basis, 4, -bound, bound, signed=True):
+        if abs(a * d - b * c) == 1:
+            return SimilarityResult("similar", T=IntMatrix2(a, b, c, d))
     return SimilarityResult(
         "unknown", witness=f"no unimodular conjugator with |entries| <= {bound}"
     )

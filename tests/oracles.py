@@ -328,6 +328,55 @@ def shift_equivalent_scan(A, B, entry_bound: int = 10, lag_bound: int = 6,
     )
 
 
+def signed_key(rows) -> tuple:
+    """Order matrices by absolute entry size, non-negative before negative."""
+    return tuple((abs(v), 0 if v >= 0 else 1) for r in rows for v in r)
+
+
+def gl2z_similar_listing(A, B, bound: int = 10):
+    """Reference GL2(Z) similarity: the pre-filters of ``sft.gl2z_similar``,
+    then every T with A T = T B and |entries| <= bound listed, and the
+    least unimodular one under ``signed_key`` kept."""
+    from lattes_sft.intlinalg import (
+        IntMatrix2, is_square, mat_sub, scalar_matrix, smith_normal_form,
+        sylvester_solutions,
+    )
+    from lattes_sft.sft import SimilarityResult
+
+    if A == B:
+        return SimilarityResult("similar", T=IntMatrix2.identity())
+    if (A.trace(), A.det()) != (B.trace(), B.det()):
+        return SimilarityResult(
+            "not_similar",
+            witness=(
+                f"characteristic polynomials differ: trace {A.trace()} vs "
+                f"{B.trace()}, determinant {A.det()} vs {B.det()}"
+            ),
+        )
+    tr, dt = A.trace(), A.det()
+    disc = tr * tr - 4 * dt
+    if disc >= 0 and is_square(disc):
+        s = isqrt(disc)
+        for lam in ((tr + s) // 2, (tr - s) // 2):
+            dA = smith_normal_form(mat_sub(A.rows(), scalar_matrix(2, lam)))
+            dB = smith_normal_form(mat_sub(B.rows(), scalar_matrix(2, lam)))
+            if dA != dB:
+                return SimilarityResult(
+                    "not_similar",
+                    witness=(
+                        f"Smith forms of (A - {lam} I) differ: "
+                        f"{list(dA)} vs {list(dB)}"
+                    ),
+                )
+    cands = sylvester_solutions(A.rows(), B.rows(), -bound, bound)
+    valid = [T for T in cands if abs(T[0][0] * T[1][1] - T[0][1] * T[1][0]) == 1]
+    if valid:
+        return SimilarityResult("similar", T=IntMatrix2.from_rows(min(valid, key=signed_key)))
+    return SimilarityResult(
+        "unknown", witness=f"no unimodular conjugator with |entries| <= {bound}"
+    )
+
+
 def smith_normal_form_transforms(M):
     """Reference Smith normal form by elimination that tracks its
     transforms: (D, U, V) with D = U*M*V diagonal, U and V unimodular.

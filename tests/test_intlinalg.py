@@ -26,7 +26,9 @@ from lattes_sft.intlinalg import (
     sylvester_solutions,
     xgcd,
 )
-from oracles import column_echelon_bezout, poly_mul_schoolbook, smith_normal_form_transforms
+from oracles import (
+    column_echelon_bezout, poly_mul_schoolbook, signed_key, smith_normal_form_transforms,
+)
 
 
 def rand_matrix(rng, n, lo=-5, hi=5):
@@ -360,6 +362,30 @@ def test_box_enumeration_is_increasing_with_per_coordinate_bounds():
         assert list(lattice_points_in_box(ech, N, lo[0], hi[0])) == list(
             lattice_points_in_box(ech, N, [lo[0]] * N, [hi[0]] * N)
         )
+
+
+def test_box_enumeration_in_signed_order(monkeypatch):
+    # the order gl2z_similar reads its T in: entry by entry by absolute
+    # value, a non-negative entry before the negative one of the same size
+    rng = random.Random(43)
+    for _ in range(80):
+        N = rng.choice((2, 3, 4))
+        cols = [tuple(rng.randint(-3, 3) for _ in range(N)) for _ in range(rng.randint(0, 4))]
+        ech = column_echelon(cols)
+        lo = [rng.randint(-4, 1) for _ in range(N)]
+        hi = [a + rng.randint(0, 6) for a in lo]
+        pts = list(lattice_points_in_box(ech, N, lo, hi, signed=True))
+        assert set(pts) == set(lattice_points_in_box(ech, N, lo, hi))
+        keys = [signed_key((v,)) for v in pts]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        # the budget counts the points read in either order
+        monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", len(pts))
+        assert list(lattice_points_in_box(ech, N, lo, hi, signed=True)) == pts
+        if pts:
+            monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", len(pts) - 1)
+            with pytest.raises(BudgetExceededError, match="BOX_POINT_BUDGET"):
+                list(lattice_points_in_box(ech, N, lo, hi, signed=True))
+        monkeypatch.undo()
 
 
 def test_box_point_budget(monkeypatch):

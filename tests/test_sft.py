@@ -24,7 +24,9 @@ from lattes_sft import (
 )
 from lattes_sft import intlinalg, sft
 from lattes_sft.intlinalg import charpoly, mat_mul
-from oracles import random_unimodular, shift_equivalent_scan, shift_equivalent_unfiltered
+from oracles import (
+    gl2z_similar_listing, random_unimodular, shift_equivalent_scan, shift_equivalent_unfiltered,
+)
 
 A_WORKED = SFTMatrix(((0, 1), (2, 0)))
 B_WORKED = SFTMatrix(((0, 2), (1, 0)))
@@ -367,6 +369,31 @@ class TestShiftEquivalent:
         assert res.witness == "search budget exceeded before exhausting bounds"
         assert shift_equivalent(A, B, entry_bound=2).status == "equivalent"
 
+    def test_r_candidates_are_read_as_far_as_the_search_goes(self, monkeypatch):
+        # the least certificate uses the 1,454th of the 11^5 R at entry bound 10
+        A = SFTMatrix.parse("1,0,0;0,1,0;0,0,2")
+        B = SFTMatrix.parse("2,0,0;0,1,0;0,0,1")
+        least = shift_equivalent(A, B).certificate
+        read = []
+        real = sft.lattice_points_in_box
+
+        def spy(*args, **kwargs):
+            for v in real(*args, **kwargs):
+                read.append(v)
+                yield v
+
+        monkeypatch.setattr(sft, "lattice_points_in_box", spy)
+        assert shift_equivalent(A, B).certificate == least
+        assert len(read) == 1454
+        assert read[-1] == tuple(v for row in least.R for v in row)
+        # BOX_POINT_BUDGET counts the R the search reads, not the box
+        monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", 1453)
+        res = shift_equivalent(A, B)
+        assert res.status == "unknown"
+        assert res.witness == "search budget exceeded before exhausting bounds"
+        monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", 1454)
+        assert shift_equivalent(A, B).certificate == least
+
     def test_certificate_build_rejects_junk(self):
         with pytest.raises(DomainError):
             SECertificate.build(
@@ -425,6 +452,28 @@ class TestGl2zSimilar:
         assert res.status in ("unknown", "similar")
         res_big = gl2z_similar(A, B, bound=20)
         assert res_big.status == "similar"
+
+    def test_matches_listing_oracle(self):
+        # the first unimodular T in signed order is the least of the listing
+        rng = random.Random(139)
+        seen = set()
+        for i in range(60):
+            if i % 3 == 0:  # GL2(Z)-conjugate
+                A = IntMatrix2(*(rng.randint(-4, 4) for _ in range(4)))
+                T = random_unimodular(rng, size_cap=5)
+                d = T.det()
+                B = IntMatrix2(T.d // d, -T.b // d, -T.c // d, T.a // d) * A * T
+            elif i % 3 == 1:  # almost always charpoly-separated
+                A, B = (IntMatrix2(*(rng.randint(-4, 4) for _ in range(4))) for _ in range(2))
+            else:  # reducible, with the same eigenvalues
+                l1, l2 = rng.randint(-3, 3), rng.randint(-3, 3)
+                A = IntMatrix2(l1, rng.randint(-4, 4), 0, l2)
+                B = IntMatrix2(l2, 0, rng.randint(-4, 4), l1)
+            for bound in range(1, 11):
+                res = gl2z_similar(A, B, bound)
+                assert res == gl2z_similar_listing(A, B, bound), (A, B, bound)
+                seen.add(res.status)
+        assert seen == {"similar", "not_similar", "unknown"}
 
 
 def _random_pair(rng: random.Random):
