@@ -5,8 +5,8 @@ The chain: a curve y^2 = x^3 + a x^2 + b x + c carrying a CM discriminant D
 and an integral element eps of Q(sqrt(D)) produce a 2x2 companion matrix,
 a rescaled pseudo-lattice with a periodic continued fraction, the period
 matrix of that fraction, the rational zeta function of the edge shift, and
-its K-theory type.  Every step is exact; floats appear only in point-doubling
-oracles and root location, never in a count or an invariant.
+its K-theory type.  Every step is exact; floats appear only in root
+location, never in a count or an invariant.
 """
 
 from importlib import import_module
@@ -32,7 +32,7 @@ _EXPORTS = {
     "errors": ("BudgetExceededError", "DomainError", "ParseError"),
     "exactnum": ("Poly", "QuadElem", "companion_matrix"),
     "intlinalg": ("IntMatrix2",),
-    "lattes": ("EllipticCurve", "RationalMap", "double_point", "duplication_map", "lift_y"),
+    "lattes": ("EllipticCurve", "RationalMap", "duplication_map"),
     "lattice": ("PseudoLattice", "SublatticeData", "hnf2", "scale_lattice"),
     "pipeline": (
         "ComparisonRow",

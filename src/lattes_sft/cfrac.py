@@ -100,13 +100,6 @@ class QuadSurd:
             s = 1 if self.D > t * t else -1
         return s if self.Q > 0 else -s
 
-    def value(self, precision: int = 128):
-        """Floating approximation at the given binary precision."""
-        from mpmath import mp
-
-        with mp.workprec(precision):
-            return (self.P + mp.sqrt(self.D)) / self.Q
-
     def __str__(self) -> str:
         return f"({self.P}+sqrt({self.D}))/{self.Q}"
 

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 domain error (a named precondition failed),
-2 usage or parse error, 3 verification mismatch.  With --output json the
+2 usage or parse error, 3 verification mismatch, 141 (128 + SIGPIPE)
+stdout closed before the output was written.  With --output json the
 whole stdout is a single JSON document; diagnostics go to stderr.
 
 Each subcommand imports the library modules it runs when it runs, so a
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -350,7 +352,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # shutdown does not raise again, and exit as a process killed by
+        # SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ and at the top after a zero step.  It converges when a sweep at the top
 level has every step below 2^(10 - precision) max(|z|, 2^-precision).  After
 convergence a real or imaginary part within that tolerance is reported as
 exactly 0, so the output does not depend on the path the iteration took.
-mpmath is imported only to hand the roots back as ``mpc`` numbers.
 ``periodic_points`` refuses a map of degree d at period n before any
 exact work when d^n exceeds ROOT_DEGREE_BUDGET.
 """
@@ -498,8 +497,8 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200, jet=None)
     is below 2^(10 - precision) max(|z|, 2^-precision).  Once converged, a
     real or imaginary part no larger than that tolerance is reported as
     exactly 0 (the zero rule).  A run that does not converge warns and
-    returns its last points.  The roots come back as mpmath ``mpc``
-    numbers at precision + 32 bits; mpmath is used for nothing else.
+    returns its last points.  The roots come back as (real, imaginary)
+    ``Decimal`` pairs, sorted.
     Raises BudgetExceededError before any work when precision exceeds
     PRECISION_BUDGET.
 
@@ -510,8 +509,6 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200, jet=None)
     (``_jet_float``, ``_jet_pairs``), which costs 2 n (deg phi + 1) Horner
     updates in place of deg p + 1 and loses no digits to the cancellation
     in p's expanded coefficients."""
-    from mpmath import mp, mpc
-
     _check_precision(precision)
     if p.degree <= 0:
         return []
@@ -540,8 +537,7 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200, jet=None)
         roots = _polish(newton, z, precision, max_sweeps)
     roots.extend([(_ZERO, _ZERO)] * zero_roots)
     roots.sort()
-    with mp.workprec(precision + 32):
-        return [mpc(str(x), str(y)) for x, y in roots]
+    return roots
 
 
 @dataclass(frozen=True)
@@ -611,8 +607,8 @@ def periodic_points(phi: RationalMap, n: int, precision: int = 128) -> PeriodicR
     pts = tuple(
         sorted(
             (
-                complex(float(z.real), float(z.imag))
-                for z in aberth_roots(count.squarefree, precision, jet=jet)
+                complex(float(x), float(y))
+                for x, y in aberth_roots(count.squarefree, precision, jet=jet)
             ),
             key=lambda v: (v.real, v.imag),
         )

@@ -237,13 +237,6 @@ class Poly:
             raise ArithmeticError("gcd must divide exactly")
         return q.monic()
 
-    def eval_mp(self, z):
-        """Horner evaluation at an mpmath number, in the caller's precision."""
-        out = z * 0
-        for c in reversed(self.ints):
-            out = out * z + c
-        return out / self.den
-
     def to_text(self) -> str:
         return ",".join(str(c) for c in self.coeffs) or "0"
 

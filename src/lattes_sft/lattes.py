@@ -1,5 +1,5 @@
 """Elliptic curves y^2 = x^3 + a*x^2 + b*x + c and the x-coordinate doubling
-map, plus floating-point tangent-line doubling used as an oracle.
+map, in exact arithmetic.
 
 The doubling map descends to the degree-4 rational map
 
@@ -102,13 +102,6 @@ class RationalMap:
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree)
 
-    def eval_mp(self, z):
-        """Value at an mpmath complex number in the caller's precision."""
-        dv = self.den.eval_mp(z)
-        if dv == 0:
-            raise DomainError("evaluation at a pole")
-        return self.num.eval_mp(z) / dv
-
     def __str__(self) -> str:
         return f"{self.num.to_text()} / {self.den.to_text()}"
 
@@ -133,42 +126,3 @@ def duplication_map(E: EllipticCurve) -> RationalMap:
     den = Poly((4 * c, 4 * b, 4 * a, Fraction(4)))
     return RationalMap(num, den)
 
-
-def _to_mpc(x):
-    """x as an mpmath ``mpc`` in the caller's precision."""
-    from mpmath import mpc
-
-    if isinstance(x, Fraction):
-        return mpc(x.numerator) / x.denominator
-    return mpc(x)
-
-
-def lift_y(E: EllipticCurve, x, precision: int = 128):
-    """Principal square root of x^3 + a*x^2 + b*x + c at the given precision."""
-    from mpmath import mp
-
-    with mp.workprec(precision):
-        return mp.sqrt(E.rhs().eval_mp(_to_mpc(x)))
-
-
-def double_point(E: EllipticCurve, x, y, precision: int = 128, rel_tol: float = 1e-9):
-    """Tangent-line doubling of the affine point (x, y).
-
-    The point must satisfy the curve equation to within rel_tol and must not
-    be 2-torsion (y = 0 doubles to the point at infinity).
-    """
-    from mpmath import mp
-
-    with mp.workprec(precision):
-        xz, yz = _to_mpc(x), _to_mpc(y)
-        f = E.rhs().eval_mp(xz)
-        if yz == 0:
-            raise DomainError("2-torsion point: doubling lands at infinity")
-        resid = abs(yz * yz - f)
-        if resid > rel_tol * max(1, abs(yz * yz), abs(f)):
-            raise DomainError("point does not lie on the curve")
-        a, b = E.a, E.b
-        lam = (3 * xz * xz + 2 * _to_mpc(a) * xz + _to_mpc(b)) / (2 * yz)
-        xp = lam * lam - _to_mpc(a) - 2 * xz
-        yp = lam * (xz - xp) - yz
-        return xp, yp

@@ -38,7 +38,6 @@ from .intlinalg import (
     scalar_matrix,
     smith_normal_form,
     sylvester_basis,
-    sylvester_solutions,  # noqa: F401  unused here, but a name of sft that tests patch
     trace,
     unflatten,
 )

@@ -6,9 +6,12 @@ unimodular matrices from explicit elementary products.
 """
 
 import random
+from fractions import Fraction
 from math import isqrt
 
-from mpmath import mp
+from mpmath import mp, mpc
+
+from lattes_sft.errors import DomainError
 
 
 def cf_float(value_fn, n: int, precision: int = 512) -> list[int]:
@@ -515,6 +518,74 @@ def column_echelon_bezout(cols):
     return [tuple(c) for c in out]
 
 
+def to_mpc(x):
+    """x as an mpmath ``mpc`` in the caller's precision."""
+    if isinstance(x, Fraction):
+        return mpc(x.numerator) / x.denominator
+    return mpc(x)
+
+
+def poly_mp(p, z):
+    """Horner evaluation of the ``Poly`` p at an mpmath number, in the
+    caller's precision."""
+    out = z * 0
+    for c in reversed(p.ints):
+        out = out * z + c
+    return out / p.den
+
+
+def map_mp(phi, z):
+    """Value of the ``RationalMap`` phi at an mpmath complex number, in the
+    caller's precision."""
+    dv = poly_mp(phi.den, z)
+    if dv == 0:
+        raise DomainError("evaluation at a pole")
+    return poly_mp(phi.num, z) / dv
+
+
+def surd_value(s, precision: int = 128):
+    """The ``QuadSurd`` s as an mpmath number at the given binary precision."""
+    with mp.workprec(precision):
+        return (s.P + mp.sqrt(s.D)) / s.Q
+
+
+def lift_y(E, x, precision: int = 128):
+    """Principal square root of x^3 + a*x^2 + b*x + c on the
+    ``EllipticCurve`` E at the given precision."""
+    with mp.workprec(precision):
+        return mp.sqrt(poly_mp(E.rhs(), to_mpc(x)))
+
+
+def double_point(E, x, y, precision: int = 128, rel_tol: float = 1e-9):
+    """Tangent-line doubling of the affine point (x, y) on the
+    ``EllipticCurve`` E.
+
+    The point must satisfy the curve equation to within rel_tol and must not
+    be 2-torsion (y = 0 doubles to the point at infinity).
+    """
+    with mp.workprec(precision):
+        xz, yz = to_mpc(x), to_mpc(y)
+        f = poly_mp(E.rhs(), xz)
+        if yz == 0:
+            raise DomainError("2-torsion point: doubling lands at infinity")
+        resid = abs(yz * yz - f)
+        if resid > rel_tol * max(1, abs(yz * yz), abs(f)):
+            raise DomainError("point does not lie on the curve")
+        a, b = E.a, E.b
+        lam = (3 * xz * xz + 2 * to_mpc(a) * xz + to_mpc(b)) / (2 * yz)
+        xp = lam * lam - to_mpc(a) - 2 * xz
+        yp = lam * (xz - xp) - yz
+        return xp, yp
+
+
+def roots_mpc(roots, precision: int = 128):
+    """The sorted (real, imaginary) ``Decimal`` pairs that
+    ``dynsys.aberth_roots`` returns, as mpmath ``mpc`` numbers at
+    precision + 32 bits, its working precision."""
+    with mp.workprec(precision + 32):
+        return [mpc(str(x), str(y)) for x, y in roots]
+
+
 def aberth_roots_mp(p, precision: int = 128, max_sweeps: int = 200):
     """Reference root location: Gauss-Seidel Aberth sweeps in mpmath alone,
     at precision + 32 bits from ``dynsys._initial_points``, until every step
@@ -523,7 +594,7 @@ def aberth_roots_mp(p, precision: int = 128, max_sweeps: int = 200):
     come back sorted by (real, imag)."""
     import warnings
 
-    from mpmath import mpc, mpf
+    from mpmath import mpf
 
     from lattes_sft import Poly
     from lattes_sft.dynsys import _initial_points

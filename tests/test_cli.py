@@ -408,24 +408,44 @@ for argv in (
     ["cfrac", "--surd", "(1+sqrt(5))/2"],
     ["shift-equiv", "--A", "0,1;2,0", "--B", "0,2;1,0"],
     ["compare", "--curve", "4,2,0", "--D", "2", "--eps", "0+1*sqrt(2)", "-n", "2"],
+    ["periodic", "--curve", "4,2,0", "-n", "3"],
 ):
     assert cli.main(argv) == 0, argv
     assert "mpmath" not in sys.modules, argv
-assert cli.main(["periodic", "--curve", "4,2,0", "-n", "1"]) == 0
-assert "mpmath" in sys.modules, "periodic"
 """
 
 
-def test_only_periodic_loads_mpmath():
-    # a fresh interpreter: importing the CLI and running every other
-    # subcommand leaves mpmath unloaded; locating periodic points loads it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+def test_no_subcommand_loads_mpmath():
+    # a fresh interpreter: importing the CLI and running every subcommand,
+    # root location included, leaves mpmath unloaded
     proc = subprocess.run(
-        [sys.executable, "-c", _MPMATH_PROBE], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", _MPMATH_PROBE], capture_output=True, text=True, env=_src_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # the read end of stdout is closed before the process starts, so its
+    # first write (unbuffered) or the flush of its output (buffered) fails
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lattes_sft", "--output", "json", "cfrac", "--surd", "(1+sqrt(7))/2"],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 _MODULES_PROBE = """

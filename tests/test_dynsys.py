@@ -30,7 +30,7 @@ from lattes_sft import (
 from lattes_sft import cli, dynsys
 from lattes_sft.exactnum import _prs_gcd
 from lattes_sft.intlinalg import poly_mul
-from oracles import aberth_roots_mp, compose_fraction
+from oracles import aberth_roots_mp, compose_fraction, poly_mp, roots_mpc
 
 
 def P(*coeffs):
@@ -423,14 +423,14 @@ def float_results(monkeypatch):
 
 class TestAberth:
     def test_small_poly(self):
-        roots = aberth_roots(P(-2, 0, 1))  # x^2 - 2
+        roots = roots_mpc(aberth_roots(P(-2, 0, 1)))  # x^2 - 2
         with mp.workprec(160):
             assert abs(roots[0] + mp.sqrt(2)) < mp.mpf(2) ** -110
             assert abs(roots[1] - mp.sqrt(2)) < mp.mpf(2) ** -110
 
     def test_zero_root_and_order(self):
         roots = aberth_roots(P(0, -1, 0, 1))  # x(x^2-1)
-        assert [round(float(r.real)) for r in roots] == [-1, 0, 1]
+        assert [round(float(x)) for x, _ in roots] == [-1, 0, 1]
 
     def test_nonconvergence_is_reported_not_fatal(self):
         with pytest.warns(RuntimeWarning, match="did not converge"):
@@ -439,9 +439,9 @@ class TestAberth:
 
     def test_real_and_imaginary_parts_below_tolerance_are_zero(self):
         roots = aberth_roots(P(-2, 0, 1))  # x^2 - 2
-        assert all(r.imag == 0 for r in roots)
+        assert all(y == 0 for _, y in roots)
         roots = aberth_roots(P(1, 0, 1))  # x^2 + 1
-        assert [(r.real, r.imag) for r in roots] == [(0, -1), (0, 1)]
+        assert roots == [(0, -1), (0, 1)]
 
     def test_wilkinson_24_converges(self):
         # prod (x - k), k = 1..24: the mpmath-only sweeps stall at 128 bits
@@ -452,14 +452,15 @@ class TestAberth:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             roots = aberth_roots(Poly._from_ints(ints))
-        assert [r.imag for r in roots] == [0] * 24
+        assert [y for _, y in roots] == [0] * 24
+        roots = roots_mpc(roots)
         with mp.workprec(160):
             assert all(abs(r.real - k) < mp.mpf(2) ** -110 * k for k, r in enumerate(roots, 1))
 
     @pytest.mark.parametrize("float_phase", [True, False])
     def test_converging_inputs_take_no_guard_bits(self, monkeypatch, float_phase):
         # a stall would add GUARD_STEP bits; with None in its place it raises.
-        # Without the float phase the mpmath sweeps start from
+        # Without the float phase the decimal sweeps start from
         # _initial_points, as they did alone before, and converged there
         monkeypatch.setattr(dynsys, "GUARD_STEP", None)
         if not float_phase:
@@ -478,7 +479,7 @@ class TestAberth:
         # evaluate the reversed polynomial, so 10^200 never overflows
         big = 10**200
         F = Poly._from_ints(poly_mul(poly_mul([-big, 1], [1, 0, 1]), [2, 1]))
-        roots = aberth_roots(F)
+        roots = roots_mpc(aberth_roots(F))
         assert len(float_results[0]) == 4
         for root in (-2, -1j, 1j, 1e200):
             assert min(abs(z - root) for z in float_results[0]) < 1e-12 * abs(root)
@@ -490,10 +491,10 @@ class TestAberth:
 
     def test_non_finite_float_phase_falls_back(self, float_results):
         # x^2 - 10^800: the roots +-10^400 have no machine float, so the
-        # mpmath sweeps start from _initial_points
+        # decimal sweeps start from _initial_points
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            roots = aberth_roots(P(-10**800, 0, 1))
+            roots = roots_mpc(aberth_roots(P(-10**800, 0, 1)))
         assert float_results == [None]
         assert [r.imag for r in roots] == [0, 0]
         with mp.workprec(160):
@@ -514,7 +515,7 @@ class TestAberth:
         assume(not log)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            roots = aberth_roots(F, precision)
+            roots = roots_mpc(aberth_roots(F, precision), precision)
         assert _located(roots, precision) == _located(ref, precision)
 
     @pytest.mark.parametrize("curve", [(0, 0, 1), (4, 2, 0), (-3, -32, -64)])
@@ -523,7 +524,7 @@ class TestAberth:
         F = periodic_count(duplication_map(EllipticCurve(*curve)), 3).squarefree
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            roots = aberth_roots(F)
+            roots = roots_mpc(aberth_roots(F))
             ref = aberth_roots_mp(F)
         assert len(roots) == 64
         assert _located(roots) == _located(ref)
@@ -533,7 +534,7 @@ class TestAberth:
         F = Poly._from_ints(ints)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            roots = aberth_roots(F, dynsys.PRECISION_BUDGET)
+            roots = roots_mpc(aberth_roots(F, dynsys.PRECISION_BUDGET), dynsys.PRECISION_BUDGET)
             ref = aberth_roots_mp(F, dynsys.PRECISION_BUDGET)
         assert _located(roots, 4096) == _located(ref, 4096)
         with mp.workprec(4200):
@@ -558,7 +559,7 @@ class TestAberth:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             roots = aberth_roots(F, 1024, max_sweeps=2)
-        assert [(r.real, r.imag) for r in roots] == [(1, 0), (2, 0), (3, 0)]
+        assert roots == [(1, 0), (2, 0), (3, 0)]
         assert digits == [115, math.ceil((1024 + 32) * math.log10(2)) + 1]
 
     def test_d11_model_takes_guard_bits_without_waiting(self, monkeypatch):
@@ -588,14 +589,14 @@ class TestAberth:
         for n in (1, 2):
             phin = iterate(phi, n)
             F = (phin.num - Poly.x() * phin.den).squarefree_part()
-            roots = aberth_roots(F, 128)
+            roots = roots_mpc(aberth_roots(F, 128))
             with mp.workprec(192):
                 for r in roots:
                     scale = sum(
                         (abs(mp.mpf(c.numerator)) / c.denominator) * abs(r) ** i
                         for i, c in enumerate(F.coeffs)
                     )
-                    assert abs(F.eval_mp(r)) < 1e-9 * scale
+                    assert abs(poly_mp(F, r)) < 1e-9 * scale
 
 
 def _pair_mul(x, y):
@@ -740,7 +741,7 @@ class TestJet:
             rep = periodic_points(phi, n)
             horner = aberth_roots(count.squarefree)
         assert rep.finite_points == tuple(sorted(
-            (complex(float(z.real), float(z.imag)) for z in horner),
+            (complex(float(x), float(y)) for x, y in horner),
             key=lambda v: (v.real, v.imag),
         ))
 

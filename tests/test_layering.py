@@ -1,8 +1,9 @@
 """The package's modules import one way: errors at the bottom, then the
 integer helpers in intlinalg, then the exact arithmetic and continued
-fractions built on them, with no import cycle; every exported name
-resolves; and every function the benchmark's traced run wraps is where
-its span recorder looks for it."""
+fractions built on them, with no import cycle; outside the package they
+import only the standard library; every exported name resolves; and every
+function the benchmark's traced run wraps is where its span recorder
+looks for it."""
 
 import ast
 import importlib.util
@@ -52,6 +53,26 @@ def test_no_import_cycle():
 
     for module in graph:
         visit(module, ())
+
+
+def test_only_standard_library_imports():
+    # the package has no runtime dependency: every absolute import, at any
+    # depth of a module's body, names a standard-library module
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not outside, f"imports outside the standard library: {outside}"
 
 
 def test_exports_resolve_once():
