@@ -1,12 +1,13 @@
 """Exact reduction of elliptic-curve doubling dynamics to integer-matrix
 shift dynamics.
 
-The chain: a curve y^2 = x^3 + a x^2 + b x + c carrying a CM discriminant D
-and an integral element eps of Q(sqrt(D)) produce a 2x2 companion matrix,
-a rescaled pseudo-lattice with a periodic continued fraction, the period
-matrix of that fraction, the rational zeta function of the edge shift, and
-its K-theory type.  Every step is exact; floats appear only in root
-location, never in a count or an invariant.
+The chain: a curve y^2 = x^3 + a x^2 + b x + c taken to have CM by
+Q(sqrt(-D)), for a radicand D (not a discriminant: D = 2 means CM by
+Z[sqrt(-2)], of discriminant -8), and an integral element eps of Q(sqrt(D))
+produce a 2x2 companion matrix, a rescaled pseudo-lattice with a periodic
+continued fraction, the period matrix of that fraction, the rational zeta
+function of the edge shift, and its K-theory type.  Every step is exact;
+floats appear only in root location, never in a count or an invariant.
 """
 
 from importlib import import_module

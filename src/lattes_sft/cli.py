@@ -255,6 +255,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
+D_HELP = (
+    "radicand D > 1, not a discriminant: eps lies in Q(sqrt(D)), the lattice "
+    "is Z + Z*sqrt(D), and the curve is taken to have CM by Q(sqrt(-D))"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattes",
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("functor", help="full invariant chain for (curve, D, eps)")
-    p.add_argument("--D", type=int, required=True, help="CM discriminant")
+    p.add_argument("--D", type=int, required=True, help=D_HELP)
     p.add_argument("--eps", required=True, help="field element 'a+b*sqrt(D)'")
     p.add_argument("--curve", help="curve 'a,b,c' (optional annotation)")
     p.set_defaults(func=cmd_functor)
@@ -307,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="periodic-point count comparison table")
     p.add_argument("--curve", required=True, help="curve 'a,b,c'")
-    p.add_argument("--D", type=int, required=True, help="CM discriminant")
+    p.add_argument("--D", type=int, required=True, help=D_HELP)
     p.add_argument("--eps", required=True, help="field element 'a+b*sqrt(D)'")
     p.add_argument("-n", type=int, required=True, help="max period (<= 4)")
     p.set_defaults(func=cmd_compare)

@@ -17,8 +17,8 @@ Counts are symbolic (degrees of exact polynomials) and come from
 points and never feeds back into a count.
 
 Root location (``aberth_roots``) runs Aberth's simultaneous iteration in
-two phases from one deterministic start.  Up to max_sweeps sweeps run in
-machine complex numbers; up to max_sweeps more polish the result in the
+two phases from one deterministic start.  Up to MAX_SWEEPS sweeps run in
+machine complex numbers; up to MAX_SWEEPS more polish the result in the
 standard library's ``decimal`` arithmetic (libmpdec) on (real, imaginary)
 pairs, or start over from the same start when a float stopped being
 finite.  Both phases take the Newton correction from one of two
@@ -75,14 +75,16 @@ ITERATE_DEGREE_BUDGET = 4**5
 # converged, as a process in 1.0-1.1 s on (0,0,1), 3.1-3.3 s on
 # (-3,-32,-64), 7.8-10.2 s on the D = 11 model and 10.7-11.0 s on (4,2,0);
 # but a map whose F is not square-free keeps Horner, and (x^4 - 3x^2 +
-# 1)/x^3 at n = 4 runs all max_sweeps in 95 s in-process and warns.
+# 1)/x^3 at n = 4 runs all MAX_SWEEPS in 95 s in-process and warns.
 ROOT_DEGREE_BUDGET = 4**3
 
-# Root location.  The machine-float sweeps stop once every relative step is
-# below FLOAT_STEP, or when their largest step has not reached a new low for
+# Root location.  Each of its two phases runs at most MAX_SWEEPS sweeps.
+# The machine-float sweeps stop once every relative step is below
+# FLOAT_STEP, or when their largest step has not reached a new low for
 # FLOAT_PATIENCE sweeps.  A decimal sweep with every step below FLOAT_STEP
 # whose largest step did not shrink is limited by its working precision; at
 # the top level that adds GUARD_STEP bits (as decimal digits).
+MAX_SWEEPS = 200
 FLOAT_STEP = 1e-12
 FLOAT_PATIENCE = 10
 GUARD_STEP = 64
@@ -346,15 +348,15 @@ def _jet_pairs(num, den, n, k, one):
     return newton
 
 
-def _float_sweeps(newton, z, max_sweeps):
-    """Aberth sweeps in machine complex numbers from the points z, which
-    are updated in place, with the Newton correction newton(z) of
-    ``_horner_float`` or ``_jet_float``; returns z, or None when a value
-    stopped being finite."""
+def _float_sweeps(newton, z):
+    """Up to MAX_SWEEPS Aberth sweeps in machine complex numbers from the
+    points z, which are updated in place, with the Newton correction
+    newton(z) of ``_horner_float`` or ``_jet_float``; returns z, or None
+    when a value stopped being finite."""
     deg = len(z)
     best, stale = math.inf, 0
     try:
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             worst = 0.0
             for i in range(deg):
                 zi = z[i]
@@ -414,12 +416,12 @@ def _aberth_sweep(newton, re, im, floor2, nudge):
     return worst, nudged
 
 
-def _polish(newton, z, precision: int, max_sweeps: int):
+def _polish(newton, z, precision: int):
     """Aberth sweeps in decimal arithmetic with the Newton correction
     newton (see ``_aberth_sweep``) from the (real, imaginary) Decimal
     pairs z, until a sweep at the top level has every step below
     2^(10 - precision) max(|z|, 2^-precision); returns the pairs with the
-    zero rule applied, or warns after max_sweeps and returns them as they
+    zero rule applied, or warns after MAX_SWEEPS and returns them as they
     are.
 
     The sweeps run at fixed levels.  The top level holds the digits of the
@@ -451,7 +453,7 @@ def _polish(newton, z, precision: int, max_sweeps: int):
         nudge = Decimal(2) ** (-precision // 2)
         stall2 = Decimal(FLOAT_STEP) ** 2
         level, top, last = 0, len(held) - 1, _ONE
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             ctx.prec = held[level] + slack
             worst, nudged = _aberth_sweep(newton, re, im, floor2, nudge)
             if level == top and not nudged and worst <= tol2:
@@ -483,13 +485,13 @@ def _polish(newton, z, precision: int, max_sweeps: int):
     return out
 
 
-def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200, jet=None):
+def aberth_roots(p: Poly, precision: int = 128, jet=None):
     """All complex roots of a square-free polynomial by simultaneous
     (Aberth-Ehrlich) iteration; deterministic start, deterministic order.
 
     Zero roots are split off first.  From ``_initial_points``, up to
-    max_sweeps Gauss-Seidel sweeps run in machine complex numbers
-    (``_float_sweeps``), then up to max_sweeps sweeps in decimal arithmetic
+    MAX_SWEEPS Gauss-Seidel sweeps run in machine complex numbers
+    (``_float_sweeps``), then up to MAX_SWEEPS sweeps in decimal arithmetic
     (``_polish``) from their result, or from the start itself when the
     float sweeps failed.  The second phase works at fixed levels of
     precision up to precision + 32 bits, GUARD_STEP bits more when that
@@ -531,10 +533,10 @@ def aberth_roots(p: Poly, precision: int = 128, max_sweeps: int = 200, jet=None)
                 [Decimal(c) for c in num], [Decimal(c) for c in den], n, zero_roots, _ONE
             )
         z = _initial_points(ints, len(ints) - 1)
-        fz = _float_sweeps(float_newton, [complex(float(x), float(y)) for x, y in z], max_sweeps)
+        fz = _float_sweeps(float_newton, [complex(float(x), float(y)) for x, y in z])
         if fz is not None:
             z = [(Decimal(v.real), Decimal(v.imag)) for v in fz]
-        roots = _polish(newton, z, precision, max_sweeps)
+        roots = _polish(newton, z, precision)
     roots.extend([(_ZERO, _ZERO)] * zero_roots)
     roots.sort()
     return roots

@@ -11,9 +11,9 @@ the one text form of a matrix.  Everything here is pure and exact:
 products, characteristic polynomials (Faddeev-LeVerrier in integers), and
 one integer elimination, ``column_echelon``, behind the Smith diagonal,
 absolute determinants, integer kernels, and the lazy bounded enumeration,
-in increasing lexicographic or signed order, of the integer solution
-lattice of a Sylvester constraint A X = X B and of its points with
-f(X) = C for a linear map f (``lattice_solutions``).
+in signed order (increasing on a non-negative box), of the integer
+solution lattice of a Sylvester constraint A X = X B and of its points
+with f(X) = C for a linear map f (``lattice_solutions``).
 ``column_echelon`` clears each row by Euclid steps, least pivot first,
 into the unique reduced Hermite basis; ``xgcd`` serves only ``lattice.hnf2``.
 """
@@ -351,13 +351,14 @@ def column_echelon(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(c) for c in out]
 
 
-def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi, signed=False) -> Iterator[tuple[int, ...]]:
+def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi) -> Iterator[tuple[int, ...]]:
     """The vectors of the lattice spanned by echelon columns with coordinate
-    r in [lo[r], hi[r]], made as they are read, in increasing lexicographic
-    order, or with ``signed`` in signed order: by |v[r]| coordinate by
-    coordinate, a non-negative entry before a negative one.  An int bound is
-    the bound of every coordinate.  Raises BudgetExceededError on reaching
-    a point past the first BOX_POINT_BUDGET."""
+    r in [lo[r], hi[r]], made as they are read, in signed order: by |v[r]|
+    coordinate by coordinate, a non-negative entry before the negative one
+    of the same size.  On a box with every lo[r] >= 0 that is increasing
+    lexicographic order.  An int bound is the bound of every coordinate.
+    Raises BudgetExceededError on reaching a point past the first
+    BOX_POINT_BUDGET."""
     lo = (lo,) * N if isinstance(lo, int) else tuple(lo)
     hi = (hi,) * N if isinstance(hi, int) else tuple(hi)
     pivots = [next(r for r in range(N) if c[r] != 0) for c in cols] + [N]
@@ -369,7 +370,8 @@ def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi, signed=Fa
 
     # depth first: the rows of a node's v above pivots[i] are in the box and
     # fixed below it, and the coefficient of column i sets v[pivots[i]], so
-    # the children of a node, ordered by that entry, keep either order
+    # the children of a node, ordered by that entry, keep the order; with
+    # lo[p] >= 0 increasing is signed order, and only lo[p] < 0 sorts
     stack = [(0, (0,) * N)] if inside((0,) * N, 0, pivots[0]) else []
     while stack:
         i, v = stack.pop()
@@ -388,7 +390,7 @@ def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi, signed=Fa
             if inside(v, p, pivots[i + 1]):
                 stack.append((i + 1, v))
             v = tuple(map(sub, v, col))
-        if signed:
+        if lo[p] < 0:
             stack[top:] = sorted(stack[top:], key=lambda u: (abs(u[1][p]), u[1][p] < 0), reverse=True)
 
 
@@ -410,7 +412,7 @@ def sylvester_basis(A, B) -> list[tuple[int, ...]]:
 
 def sylvester_solutions(A, B, lo: int, hi: int) -> list[Rows]:
     """Integer matrices X with A X = X B and every entry in [lo, hi], in
-    increasing order."""
+    signed order (``lattice_points_in_box``): increasing when lo >= 0."""
     n = len(A)
     return [unflatten(v, n) for v in lattice_points_in_box(sylvester_basis(A, B), n * n, lo, hi)]
 
@@ -418,7 +420,8 @@ def sylvester_solutions(A, B, lo: int, hi: int) -> list[Rows]:
 def lattice_solutions(basis, n: int, f, C, lo: int, hi: int) -> Iterator[Rows]:
     """Matrices X of the lattice with echelon basis ``basis`` (n x n
     matrices X_i, flattened) with f(X) = C and every entry in [lo, hi], in
-    increasing order; f is an integer-linear map from matrices to matrices.
+    signed order (increasing when lo >= 0); f is an integer-linear map from
+    matrices to matrices.
 
     The points (t, X = sum c_i X_i) with f(X) = t C are the kernel of
     (t, c) -> sum c_i f(X_i) - t C carried to (t, X): one column echelon

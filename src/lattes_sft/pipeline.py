@@ -115,22 +115,12 @@ class ConjugacyVerdict:
     gl2_similarity: SimilarityResult
 
 
-def conjugacy_test(
-    out1: FunctorOutput,
-    out2: FunctorOutput,
-    entry_bound: int = 10,
-    lag_bound: int = 6,
-    similarity_bound: int = 10,
-) -> ConjugacyVerdict:
+def conjugacy_test(out1: FunctorOutput, out2: FunctorOutput) -> ConjugacyVerdict:
     """Shift equivalence of the two shift matrices, with GL2(Z) similarity
-    reported as corroboration."""
-    se = shift_equivalent(
-        SFTMatrix.from_intmatrix2(out1.A),
-        SFTMatrix.from_intmatrix2(out2.A),
-        entry_bound,
-        lag_bound,
-    )
-    sim = gl2z_similar(out1.A, out2.A, similarity_bound)
+    reported as corroboration, each at the default bounds of
+    ``shift_equivalent`` and ``gl2z_similar``."""
+    se = shift_equivalent(SFTMatrix.from_intmatrix2(out1.A), SFTMatrix.from_intmatrix2(out2.A))
+    sim = gl2z_similar(out1.A, out2.A)
     return ConjugacyVerdict(se, sim)
 
 

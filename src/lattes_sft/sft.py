@@ -382,8 +382,9 @@ def shift_equivalent(
 
 def gl2z_similar(A: IntMatrix2, B: IntMatrix2, bound: int = 10) -> SimilarityResult:
     """Decide GL2(Z) similarity A' = T^{-1} A T within the entry bound: the
-    T with A T = T B are read in signed order (``lattice_points_in_box``),
-    and the first unimodular one, the least in that order, is returned."""
+    T with A T = T B and entries in [-bound, bound] are read in signed order
+    (``lattice_points_in_box``), and the first unimodular one, the least in
+    that order, is returned."""
     if bound < 1:
         raise DomainError("bound must be >= 1")
     if A == B:
@@ -413,7 +414,7 @@ def gl2z_similar(A: IntMatrix2, B: IntMatrix2, bound: int = 10) -> SimilarityRes
                     ),
                 )
     basis = sylvester_basis(A.rows(), B.rows())
-    for a, b, c, d in lattice_points_in_box(basis, 4, -bound, bound, signed=True):
+    for a, b, c, d in lattice_points_in_box(basis, 4, -bound, bound):
         if abs(a * d - b * c) == 1:
             return SimilarityResult("similar", T=IntMatrix2(a, b, c, d))
     return SimilarityResult(

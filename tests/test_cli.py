@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -353,6 +354,20 @@ class TestConfig:
     def test_bad_bounds_rejected(self, capsys):
         rc, _, _ = run(capsys, ["--entry-bound", "0", "verify"])
         assert rc == 2
+
+    def test_defaults_are_the_library_defaults(self):
+        # each flag's default is written again as a library default; a
+        # change to one side alone would make the CLI and the library differ
+        from lattes_sft.dynsys import periodic_points
+        from lattes_sft.sft import shift_equivalent
+
+        parser = cli.build_parser()
+        for fn, name in (
+            (periodic_points, "precision"),
+            (shift_equivalent, "entry_bound"),
+            (shift_equivalent, "lag_bound"),
+        ):
+            assert parser.get_default(name) == inspect.signature(fn).parameters[name].default
 
 
 def _src_env() -> dict:

@@ -432,9 +432,10 @@ class TestAberth:
         roots = aberth_roots(P(0, -1, 0, 1))  # x(x^2-1)
         assert [round(float(x)) for x, _ in roots] == [-1, 0, 1]
 
-    def test_nonconvergence_is_reported_not_fatal(self):
+    def test_nonconvergence_is_reported_not_fatal(self, monkeypatch):
+        monkeypatch.setattr(dynsys, "MAX_SWEEPS", 1)
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            roots = aberth_roots(P(-2, 0, 0, 0, 0, 1), max_sweeps=1)
+            roots = aberth_roots(P(-2, 0, 0, 0, 0, 1))
         assert len(roots) == 5  # locations rough, count still right
 
     def test_real_and_imaginary_parts_below_tolerance_are_zero(self):
@@ -464,7 +465,7 @@ class TestAberth:
         # _initial_points, as they did alone before, and converged there
         monkeypatch.setattr(dynsys, "GUARD_STEP", None)
         if not float_phase:
-            monkeypatch.setattr(dynsys, "_float_sweeps", lambda ints, z, max_sweeps: None)
+            monkeypatch.setattr(dynsys, "_float_sweeps", lambda newton, z: None)
         polys = [P(-2, 0, 1), P(0, -1, 0, 1), P(-10**800, 0, 1)]
         for curve in ((4, 2, 0), (0, 0, 1), (-3, -32, -64), (-4, -112, 656)):
             phi = duplication_map(EllipticCurve(*curve))
@@ -544,10 +545,11 @@ class TestAberth:
         # the float phase hands over the exact roots of (x-1)(x-2)(x-3), so
         # every step of the first decimal sweep is 0; that sweep runs below
         # full precision and is not taken as convergence, the next one is
-        monkeypatch.setattr(dynsys, "_float_sweeps", lambda ints, z, max_sweeps: [1 + 0j, 2 + 0j, 3 + 0j])
+        monkeypatch.setattr(dynsys, "_float_sweeps", lambda newton, z: [1 + 0j, 2 + 0j, 3 + 0j])
         F = P(-6, 11, -6, 1)
+        monkeypatch.setattr(dynsys, "MAX_SWEEPS", 1)
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            aberth_roots(F, 1024, max_sweeps=1)
+            aberth_roots(F, 1024)
         digits = []
         sweep = dynsys._aberth_sweep
 
@@ -556,9 +558,10 @@ class TestAberth:
             return sweep(*args)
 
         monkeypatch.setattr(dynsys, "_aberth_sweep", spy)
+        monkeypatch.setattr(dynsys, "MAX_SWEEPS", 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            roots = aberth_roots(F, 1024, max_sweeps=2)
+            roots = aberth_roots(F, 1024)
         assert roots == [(1, 0), (2, 0), (3, 0)]
         assert digits == [115, math.ceil((1024 + 32) * math.log10(2)) + 1]
 

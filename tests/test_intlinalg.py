@@ -351,7 +351,13 @@ def test_box_enumeration_is_increasing_with_per_coordinate_bounds():
         lo = [rng.randint(-3, 1) for _ in range(N)]
         hi = [a + rng.randint(0, 4) for a in lo]
         pts = list(lattice_points_in_box(ech, N, lo, hi))
-        assert pts == sorted(set(pts))
+        keys = [signed_key((v,)) for v in pts]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        # on a box with no negative lower bound signed order is increasing
+        nonneg = [max(a, 0) for a in lo]
+        assert list(lattice_points_in_box(ech, N, nonneg, hi)) == sorted(
+            v for v in pts if all(a <= x for a, x in zip(nonneg, v))
+        )
         brute = set()
         for combo in itertools.product(range(-12, 13), repeat=len(ech)):
             v = tuple(sum(c * col[r] for c, col in zip(combo, ech)) for r in range(N))
@@ -364,6 +370,19 @@ def test_box_enumeration_is_increasing_with_per_coordinate_bounds():
         )
 
 
+def in_echelon_span(ech, v) -> bool:
+    """Whether v is an integer combination of the echelon columns ech: each
+    pivot entry fixes its column's coefficient, top down."""
+    rest = list(v)
+    for col in ech:
+        p = next(r for r, x in enumerate(col) if x)
+        c, rem = divmod(rest[p], col[p])
+        if rem:
+            return False
+        rest = [a - c * b for a, b in zip(rest, col)]
+    return not any(rest)
+
+
 def test_box_enumeration_in_signed_order(monkeypatch):
     # the order gl2z_similar reads its T in: entry by entry by absolute
     # value, a non-negative entry before the negative one of the same size
@@ -374,17 +393,18 @@ def test_box_enumeration_in_signed_order(monkeypatch):
         ech = column_echelon(cols)
         lo = [rng.randint(-4, 1) for _ in range(N)]
         hi = [a + rng.randint(0, 6) for a in lo]
-        pts = list(lattice_points_in_box(ech, N, lo, hi, signed=True))
-        assert set(pts) == set(lattice_points_in_box(ech, N, lo, hi))
+        pts = list(lattice_points_in_box(ech, N, lo, hi))
+        box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        assert set(pts) == {v for v in box if in_echelon_span(ech, v)}
         keys = [signed_key((v,)) for v in pts]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        # the budget counts the points read in either order
+        # the budget counts the points read in signed order too
         monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", len(pts))
-        assert list(lattice_points_in_box(ech, N, lo, hi, signed=True)) == pts
+        assert list(lattice_points_in_box(ech, N, lo, hi)) == pts
         if pts:
             monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", len(pts) - 1)
             with pytest.raises(BudgetExceededError, match="BOX_POINT_BUDGET"):
-                list(lattice_points_in_box(ech, N, lo, hi, signed=True))
+                list(lattice_points_in_box(ech, N, lo, hi))
         monkeypatch.undo()
 
 
