@@ -9,13 +9,15 @@ maps of ``dynsys.conjugate`` included; its product ``mat2_mul`` also runs
 on the bare 4-tuples of ``cfrac.period_matrix``, and ``matrix_text`` is
 the one text form of a matrix.  Everything here is pure and exact:
 products, characteristic polynomials (Faddeev-LeVerrier in integers), and
-one integer elimination, ``column_echelon``, behind the Smith diagonal,
+two integer eliminations.  ``column_echelon`` is behind the Smith diagonal,
 absolute determinants, integer kernels, and the lazy bounded enumeration,
 in signed order (increasing on a non-negative box), of the integer
 solution lattice of a Sylvester constraint A X = X B and of its points
-with f(X) = C for a linear map f (``lattice_solutions``).
-``column_echelon`` clears each row by Euclid steps, least pivot first,
-into the unique reduced Hermite basis; ``xgcd`` serves only ``lattice.hnf2``.
+with f(X) = C for a linear map f (``lattice_solutions``); it clears each
+row by Euclid steps, least pivot first, into the unique reduced Hermite
+basis.  Fraction-free Gauss-Jordan (``scaled_inverse``) gives the inverse
+of a nonsingular matrix times its absolute determinant, an integer matrix.
+``xgcd`` serves only ``lattice.hnf2``.
 """
 
 from __future__ import annotations
@@ -307,6 +309,35 @@ def abs_det(rows) -> int:
     ech = column_echelon(list(zip(*rows)))
     # n pivots in n rows: column i has its pivot at row i
     return prod(c[i] for i, c in enumerate(ech)) if len(ech) == len(rows) else 0
+
+
+def scaled_inverse(rows) -> tuple[int, Rows] | None:
+    """(d, W) with d = |det R| and W = d R^-1 for a nonsingular square
+    integer matrix R, so R^-1 C = W C / d; None when R is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [R | I]: step c
+    maps each row x other than the pivot row p to (p[c] x - x[c] p) / q,
+    q the pivot of the step before, and every division is exact, as each
+    entry is then a minor of [R | I] (Sylvester's identity).  The steps
+    multiply [R | I] on the left, so it ends as [q I | q R^-1] with
+    q = ±det R, and d and W take the sign of q off."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    q = 1
+    for c in range(n):
+        p = next((i for i in range(c, n) if aug[i][c]), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c]
+        pc = piv[c]
+        for i, x in enumerate(aug):
+            if i != c:
+                xc = x[c]
+                aug[i] = [(pc * a - xc * b) // q for a, b in zip(x, piv)]
+        q = pc
+    s = 1 if q > 0 else -1
+    return s * q, tuple(tuple(s * v for v in r[n:]) for r in aug)
 
 
 def kernel_basis(M) -> list[tuple[int, ...]]:

@@ -105,7 +105,7 @@ def functor_invariants(D: int, eps: QuadElem) -> FunctorOutput:
 def apply_functor(E: EllipticCurve, eps: QuadElem) -> FunctorOutput:
     """Shift-dynamics invariants of the doubling dynamics on a CM curve."""
     if E.cm_D is None:
-        raise DomainError("curve carries no CM discriminant annotation")
+        raise DomainError("curve carries no CM annotation D (CM by Q(sqrt(-D)))")
     return functor_invariants(E.cm_D, eps)
 
 
@@ -140,7 +140,7 @@ def comparison_report(E: EllipticCurve, eps: QuadElem, n_max: int) -> list[Compa
     if not 1 <= n_max <= 4:
         raise DomainError("n_max must be between 1 and 4 (degree growth guard)")
     if E.cm_D is None:
-        raise DomainError("curve carries no CM discriminant annotation")
+        raise DomainError("curve carries no CM annotation D (CM by Q(sqrt(-D)))")
     _check_field(E.cm_D, eps)
     phi = duplication_map(E)
     A = SFTMatrix.from_intmatrix2(companion_matrix(eps))

@@ -20,6 +20,7 @@ from lattes_sft.intlinalg import (
     mat_pow,
     mat_sub,
     poly_mul,
+    scaled_inverse,
     smith_normal_form,
     solve_right,
     sylvester_basis,
@@ -202,6 +203,25 @@ def test_abs_det_matches_sympy():
     assert singular >= 40
 
 
+def test_scaled_inverse_matches_sympy():
+    rng = random.Random(59)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        M = rand_rect(rng, n, n, rng.choice((2, 10, 10**6)))
+        det = int(sympy.Matrix(M).det())
+        got = scaled_inverse(M)
+        if det == 0:
+            assert got is None, M
+            singular += 1
+            continue
+        # W = |det| M^-1 = sign(det) adj(M)
+        sign = 1 if det > 0 else -1
+        adj = sympy.Matrix(M).adjugate()
+        assert got == (abs(det), tuple(tuple(sign * int(v) for v in adj.row(i)) for i in range(n))), M
+    assert singular >= 40
+
+
 def test_smith_diagonal_known():
     assert smith_normal_form(((1, -2), (-1, 1))) == (1, 1)
     assert smith_normal_form(((-2,),)) == (2,)
@@ -305,6 +325,58 @@ PERMUTED_PAIR_8 = (
     "0,0,2,1,0,0,2,1;1,1,2,2,2,2,1,1;2,0,2,1,2,1,2,1;2,0,1,0,1,1,1,1;"
     "1,0,2,2,2,0,2,0;1,0,0,2,2,0,0,0;0,0,1,0,1,2,2,2;2,1,2,1,1,0,1,2",
 )
+
+
+def _conjugated_jordan(rng, blocks):
+    """P J P^-1 for the Jordan matrix J of the (eigenvalue, size) blocks and
+    a unimodular P from a few elementary row operations."""
+    n = sum(size for _, size in blocks)
+    J = [[0] * n for _ in range(n)]
+    i = 0
+    for lam, size in blocks:
+        for t in range(i, i + size):
+            J[t][t] = lam
+            if t > i:
+                J[t - 1][t] = 1
+        i += size
+    P = Pinv = identity(n)
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        E, Einv = [list(r) for r in identity(n)], [list(r) for r in identity(n)]
+        E[a][b], Einv[a][b] = c, -c
+        P, Pinv = mat_mul(P, E), mat_mul(Einv, Pinv)
+    return mat_mul(mat_mul(P, J), Pinv)
+
+
+def test_sylvester_lattices_of_a_pair_have_equal_dimension():
+    # dim{A X = X B} = dim{B X = X A}: both are the sum over the common
+    # eigenvalues of min(a, b) over the Jordan block sizes a of A, b of B
+    rng = random.Random(61)
+    nonzero = nilpotent = 0
+    for i in range(150):
+        n = rng.randint(1, 4)
+        eigen = (0,) if i % 3 == 0 else (0, 1, 2)
+
+        def blocks():
+            out, left = [], n
+            while left:
+                size = rng.randint(1, left)
+                out.append((rng.choice(eigen), size))
+                left -= size
+            return out
+
+        ba, bb = blocks(), blocks()
+        A, B = _conjugated_jordan(rng, ba), _conjugated_jordan(rng, bb)
+        want = sum(min(a, b) for la, a in ba for lb, b in bb if la == lb)
+        assert len(sylvester_basis(A, B)) == len(sylvester_basis(B, A)) == want, (ba, bb)
+        nonzero += want > 0
+        nilpotent += eigen == (0,)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        A, B = rand_matrix(rng, n, -2, 2), rand_matrix(rng, n, -2, 2)
+        assert len(sylvester_basis(A, B)) == len(sylvester_basis(B, A)), (A, B)
+    assert nonzero >= 100 and nilpotent == 50
 
 
 def test_sylvester_basis_of_dense_8x8_pair_is_fast():

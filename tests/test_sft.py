@@ -289,33 +289,46 @@ class TestShiftEquivalent:
         A = SFTMatrix.parse("2,0,0;0,2,0;0,0,3")
         B = SFTMatrix.parse("2,1,0;0,2,0;0,0,3")
         solves = []
-        real = sft.lattice_solutions
+        real_inv, real_solve = sft.scaled_inverse, sft.lattice_solutions
+        monkeypatch.setattr(sft, "scaled_inverse", lambda R: solves.append(R) or real_inv(R))
         monkeypatch.setattr(
-            sft, "lattice_solutions", lambda *a: solves.append(1) or real(*a)
+            sft, "lattice_solutions", lambda *a: solves.append(a) or real_solve(*a)
         )
         res = shift_equivalent(A, B)
         assert res.witness == "no certificate with entries <= 10 and lag <= 6"
         assert solves == []
 
     def test_solved_candidates_have_dividing_determinants(self, monkeypatch):
-        A = SFTMatrix.parse("1,0,0;0,1,0;0,0,2")
-        B = SFTMatrix.parse("2,0,0;0,1,0;0,0,1")
-        solved = []
-        real = sft.lattice_solutions
+        lags, inverted = [], []
+        real_pow, real_inv = sft.mat_pow, sft.scaled_inverse
 
-        def spy(basis, n, f, AkBk, lo, hi):
-            # f(I) is R stacked on R, and the target A^k stacked on B^k
-            R = f(intlinalg.identity(n))[:n]
-            k = next(k for k in range(1, 7) if intlinalg.mat_pow(A.rows, k) == AkBk[:n])
-            solved.append((R, k))
-            return real(basis, n, f, AkBk, lo, hi)
+        def pow_spy(M, e):
+            if M == A.rows:
+                lags.append(e)  # each lag k of the search starts with A^k
+            return real_pow(M, e)
 
-        monkeypatch.setattr(sft, "lattice_solutions", spy)
-        assert shift_equivalent(A, B, entry_bound=2).status == "equivalent"
-        assert solved
-        for R, k in solved:
-            d = abs(sympy.Matrix(R).det())
-            assert d and 2**k % d == 0, (R, k)
+        def inv_spy(R):
+            inverted.append((R, lags[-1]))
+            return real_inv(R)
+
+        monkeypatch.setattr(sft, "mat_pow", pow_spy)
+        monkeypatch.setattr(sft, "scaled_inverse", inv_spy)
+        # the second pair's least certificate is at lag 2, so the R inverted
+        # at lag 1 are searched again there
+        for A, B, bounds, k_cert in (
+            (SFTMatrix.parse("1,0,0;0,1,0;0,0,2"), SFTMatrix.parse("2,0,0;0,1,0;0,0,1"), (2, 6), 1),
+            (SFTMatrix.parse("0,3;2,1"), SFTMatrix.parse("1,3;2,0"), (4, 3), 2),
+        ):
+            lags.clear()
+            inverted.clear()
+            assert shift_equivalent(A, B, *bounds).certificate.k == k_cert
+            assert {k for _, k in inverted} == set(range(1, k_cert + 1))
+            # each R is inverted once, at the first lag its determinant divides
+            assert len({R for R, _ in inverted}) == len(inverted)
+            det_a = abs(sympy.Matrix(A.rows).det())
+            for R, k in inverted:
+                d = abs(sympy.Matrix(R).det())
+                assert d and det_a**k % d == 0, (R, k)
 
     def test_search_budget_counts_system_entries(self, monkeypatch):
         A = SFTMatrix.parse("2,0,0;0,2,0;0,0,3")
@@ -324,12 +337,10 @@ class TestShiftEquivalent:
         # every (lag, R) is charged before its determinant test, and no R of
         # this pair passes the test, so the R tested are the charges that
         # stayed within the budget
-        tested, solves = [], []
-        real_det, real_solve = sft.abs_det, sft.lattice_solutions
+        tested, inverted = [], []
+        real_det, real_inv = sft.abs_det, sft.scaled_inverse
         monkeypatch.setattr(sft, "abs_det", lambda R: tested.append(R) or real_det(R))
-        monkeypatch.setattr(
-            sft, "lattice_solutions", lambda *a: solves.append(1) or real_solve(*a)
-        )
+        monkeypatch.setattr(sft, "scaled_inverse", lambda R: inverted.append(R) or real_inv(R))
         # a 3-dimensional lattice of S: 18 equations in 4 unknowns per (lag, R)
         for budget, charges in ((5 * 72 + 71, 5), (6 * 72, 6)):
             tested.clear()
@@ -338,7 +349,7 @@ class TestShiftEquivalent:
             assert res.status == "unknown"
             assert res.witness == "search budget exceeded before exhausting bounds"
             assert len(tested) == charges
-        assert solves == []
+        assert inverted == []
 
     def test_sylvester_budget_before_any_elimination(self, monkeypatch):
         A = SFTMatrix.parse("1,1;1,0")
@@ -537,6 +548,26 @@ def test_determinant_filter_matches_unfiltered_search(monkeypatch):
         singular += charpoly(A.rows)[0] == 0
         stopped += ref.witness == BUDGET_WITNESS
     assert singular >= 100 and stopped >= 30
+
+
+def test_s_lattice_is_built_only_for_singular_a(monkeypatch):
+    # with det A != 0 each S comes from R^-1, so {B S = S A} is not needed
+    built = []
+    real = sft.sylvester_basis
+    monkeypatch.setattr(sft, "sylvester_basis", lambda X, Y: built.append((X, Y)) or real(X, Y))
+    rng = random.Random(233)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        A, B = _random_pair(rng)
+        built.clear()
+        shift_equivalent(A, B, 2, 2)
+        if not built:  # decided by A = B or by a pre-filter
+            continue
+        singular = charpoly(A.rows)[0] == 0
+        assert built[0] == (A.rows, B.rows)
+        assert ((B.rows, A.rows) in built) == singular, (A, B)
+        seen[singular] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_verdict_monotone_in_bounds():
