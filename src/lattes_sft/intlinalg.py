@@ -10,13 +10,14 @@ on the bare 4-tuples of ``cfrac.period_matrix``, and ``matrix_text`` is
 the one text form of a matrix.  Everything here is pure and exact:
 products, characteristic polynomials (Faddeev-LeVerrier in integers), and
 two integer eliminations.  ``column_echelon`` is behind the Smith diagonal,
-absolute determinants, integer kernels, and the lazy bounded enumeration,
-in signed order (increasing on a non-negative box), of the integer
-solution lattice of a Sylvester constraint A X = X B and of its points
-with f(X) = C for a linear map f (``lattice_solutions``); it clears each
-row by Euclid steps, least pivot first, into the unique reduced Hermite
-basis.  Fraction-free Gauss-Jordan (``scaled_inverse``) gives the inverse
-of a nonsingular matrix times its absolute determinant, an integer matrix.
+integer kernels, and the lazy bounded enumeration, in signed order
+(increasing on a non-negative box), of the integer solution lattice of a
+Sylvester constraint A X = X B and of its points with f(X) = C for a
+linear map f (``lattice_solutions``); it clears each row by Euclid steps,
+least pivot first, into the unique reduced Hermite basis.  Fraction-free
+Gauss-Jordan (``scaled_inverse``) is the determinant test: None for a
+singular matrix, else its absolute determinant and its inverse times
+that, an integer matrix.
 ``xgcd`` serves only ``lattice.hnf2``.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import add, le, mul, sub
 
 from .errors import BudgetExceededError
@@ -303,14 +304,6 @@ def smith_normal_form(M) -> tuple[int, ...]:
     return tuple(d) + (0,) * (min(len(M), len(M[0])) - len(d))
 
 
-def abs_det(rows) -> int:
-    """|det| of a square integer matrix: the index of its column lattice,
-    the product of the echelon pivots, or 0 when there are fewer than n."""
-    ech = column_echelon(list(zip(*rows)))
-    # n pivots in n rows: column i has its pivot at row i
-    return prod(c[i] for i, c in enumerate(ech)) if len(ech) == len(rows) else 0
-
-
 def scaled_inverse(rows) -> tuple[int, Rows] | None:
     """(d, W) with d = |det R| and W = d R^-1 for a nonsingular square
     integer matrix R, so R^-1 C = W C / d; None when R is singular.
@@ -318,11 +311,14 @@ def scaled_inverse(rows) -> tuple[int, Rows] | None:
     Fraction-free Gauss-Jordan elimination (Bareiss) on [R | I]: step c
     maps each row x other than the pivot row p to (p[c] x - x[c] p) / q,
     q the pivot of the step before, and every division is exact, as each
-    entry is then a minor of [R | I] (Sylvester's identity).  The steps
+    entry is then a minor of [R | I] (Sylvester's identity); a row with
+    x[c] = 0 is only scaled by p[c] / q, or kept when p[c] = q.  The steps
     multiply [R | I] on the left, so it ends as [q I | q R^-1] with
     q = ±det R, and d and W take the sign of q off."""
     n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    aug = [list(r) + [0] * n for r in rows]
+    for i in range(n):
+        aug[i][n + i] = 1
     q = 1
     for c in range(n):
         p = next((i for i in range(c, n) if aug[i][c]), None)
@@ -334,7 +330,10 @@ def scaled_inverse(rows) -> tuple[int, Rows] | None:
         for i, x in enumerate(aug):
             if i != c:
                 xc = x[c]
-                aug[i] = [(pc * a - xc * b) // q for a, b in zip(x, piv)]
+                if xc:
+                    aug[i] = [(pc * a - xc * b) // q for a, b in zip(x, piv)]
+                elif pc != q:
+                    aug[i] = [pc * a // q for a in x]
         q = pc
     s = 1 if q > 0 else -1
     return s * q, tuple(tuple(s * v for v in r[n:]) for r in aug)

@@ -7,14 +7,13 @@ Bowen-Franks group are isomorphic, see ``k_invariants``).  Shift equivalence
 is decided by invariant pre-filters followed by a bounded exhaustive search:
 any certificate (R, S, k) satisfies the Sylvester constraints A R = R B and
 B S = S A.  The candidates for R are the points of the first lattice in the
-entry box, read as the search reaches them (BOX_POINT_BUDGET counts those).
-As det R det S = det(A)^k, when det A != 0 an R whose determinant is 0 or
-does not divide det(A)^k has no S at lag k and is skipped; any other R is
-invertible, and its only S is R^-1 A^k, which has B S = S A and S R = B^k
-because A R = R B.  That S is W A^k / |det R| for W = |det R| R^-1
-(``intlinalg.scaled_inverse``, once per R), one product per lag.  When
-det A = 0 the S for each lag and R are the integer points of the second
-lattice with R S = A^k and S R = B^k, found by one integer solve
+entry box, read as the search reaches them (BOX_POINT_BUDGET counts those),
+and each gets one ``intlinalg.scaled_inverse``.  A nonsingular R has the
+one S = R^-1 A^k, which has B S = S A and S R = B^k because A R = R B: one
+product W A^k and an exact division by |det R| per lag.  As
+det R det S = det(A)^k, a singular R has no S when det A != 0; when
+det A = 0 its S at each lag are the integer points of the second lattice
+with R S = A^k and S R = B^k, found by one integer solve
 (``intlinalg.lattice_solutions``).  Exhausting the bounds yields Unknown.
 """
 
@@ -28,7 +27,6 @@ from .errors import BudgetExceededError, DomainError, ParseError
 from .exactnum import Poly
 from .intlinalg import (
     IntMatrix2,
-    abs_det,
     charpoly,
     identity,
     is_square,
@@ -288,12 +286,13 @@ def _poly_text(cs) -> str:
 
 # Most entries of the linear systems one search charges: 2 n^2 equations in
 # dim{B S = S A} + 1 unknowns per (lag, R), the system that an integer solve
-# for S eliminates when det A = 0.  A nonsingular A solves no system, but
-# each (lag, R) is charged the same, so the verdict does not depend on the
-# path.  Reaching it took 3.4 to 5.6 s as a process for n from 4 to 10 with
-# det A = 0 (diag(2, 2, 0, 3, 5, ...) against the same with a Jordan block
-# at 2), and 0.2 to 0.7 s for the nonsingular pairs diag(2, 2, 2) and
-# diag(2, 2, 3, 5, ...) against a Jordan block, on a 2-core container.
+# for a singular R eliminates when det A = 0.  A nonsingular R solves no
+# system, but each (lag, R) is charged the same, so the verdict does not
+# depend on the path.  Reaching it took 3.4 to 5.6 s as a process for n
+# from 4 to 10 with det A = 0 (diag(2, 2, 0, 3, 5, ...) against the same
+# with a Jordan block at 2), and 0.2 to 0.7 s for the nonsingular pairs
+# diag(2, 2, 2) and diag(2, 2, 3, 5, ...) against a Jordan block, on a
+# 2-core container.
 SEARCH_BUDGET = 5 * 10**6
 
 # Most n^12 b^2 of the Sylvester systems, n x n with entries of b bits:
@@ -312,19 +311,17 @@ def shift_equivalent(
     Invariant pre-filters give exact negatives.  A certificate is searched
     for lexicographically by (lag, R, S), so the returned certificate is the
     least one inside the bounds: R runs over the box points of the lattice
-    {A R = R B}.  When det A != 0, as det R det S = det(A)^k, an R with
-    det R = 0 or det R not dividing det(A)^k is skipped at lag k; any other
-    R is invertible and has the one S = R^-1 A^k, read from its scaled
-    inverse (``scaled_inverse``, computed the first time R passes the test
-    and kept for later lags).  When det A = 0, for each lag k and R one
-    integer solve on the lattice {B S = S A} gives the least S with
-    R S = A^k and S R = B^k, singular R or not.  Every (lag, R) is charged
-    to the budget before its test, solved or not, so verdicts and
-    witnesses do not depend on the path.  R is read one at a time at lag 1
-    and kept for later lags.  Past SEARCH_BUDGET, or past BOX_POINT_BUDGET
-    candidates for R reached, the result is unknown.  Past the pre-filters,
-    n^12 b^2 over SYLVESTER_BUDGET raises BudgetExceededError before any
-    Sylvester system is eliminated.
+    {A R = R B}, read one at a time at lag 1 and kept for later lags with
+    its ``scaled_inverse``.  A nonsingular R has the one S = R^-1 A^k; when
+    det A != 0 it is skipped at lag k unless |det R| divides det(A)^k.  A
+    singular R is skipped when det A != 0, as det R det S = det(A)^k; when
+    det A = 0 one integer solve on the lattice {B S = S A} gives its least
+    S with R S = A^k and S R = B^k.  Every (lag, R) is charged to the
+    budget before its test, so verdicts and witnesses do not depend on the
+    path.  Past SEARCH_BUDGET, or past BOX_POINT_BUDGET candidates for R
+    reached, the result is unknown.  Past the pre-filters, n^12 b^2 over
+    SYLVESTER_BUDGET raises BudgetExceededError before any Sylvester system
+    is eliminated.
     A = B short-circuits to the reflexivity certificate (I, A, 1).
     """
     if A.n != B.n:
@@ -363,14 +360,11 @@ def shift_equivalent(
     # and b of B
     size = 2 * A.n * A.n * (len(r_basis) + 1)
     work = 0
-    # |det A|, 0 when A is singular; det R det S = det(A)^k
+    # |det A|, 0 when A is singular; only a singular A needs {B S = S A}
     det_a = abs(pa[0]) if len(pa) == A.n + 1 else 0
-    # with det A != 0 every R solved is invertible, and R^-1 A^k is its one
-    # S; only a singular A needs the lattice {B S = S A}
     s_basis = None if det_a else sylvester_basis(B.rows, A.rows)
     r_points = lattice_points_in_box(r_basis, A.n * A.n, 0, entry_bound)
-    # [R, |det R|, |det R| R^-1 once R passes the determinant test] of each
-    # R read at lag 1; |det R| is 0 when det A = 0
+    # (R, scaled_inverse(R)) of each R read at lag 1
     r_read = []
     try:
         for k in range(1, lag_bound + 1):
@@ -379,26 +373,27 @@ def shift_equivalent(
                 det_ak = det_a**k
             else:
                 AkBk = Ak + mat_pow(B.rows, k)
-            cands = ([unflatten(v, A.n), None, None] for v in r_points) if k == 1 else r_read
-            for c in cands:
+            for c in r_points if k == 1 else r_read:
                 work += size
                 if work > SEARCH_BUDGET:
                     raise BudgetExceededError(f"SEARCH_BUDGET = {SEARCH_BUDGET}")
-                R, d, W = c
-                if d is None:
-                    d = c[1] = abs_det(R) if det_a else 0
+                if k == 1:
+                    R = unflatten(c, A.n)
+                    c = R, scaled_inverse(R)
                     r_read.append(c)
-                if det_a:
-                    if not d or det_ak % d:
+                R, inv = c
+                if inv:
+                    d, W = inv  # d = |det R|, W = d R^-1
+                    if det_a and det_ak % d:
                         continue  # no integer S has R S = A^k
-                    if W is None:
-                        W = c[2] = scaled_inverse(R)[1]  # d R^-1
                     # S = R^-1 A^k has B S = S A and S R = B^k as A R = R B
                     dS = mat_mul(W, Ak)
                     hi = d * entry_bound
                     if any(not 0 <= v <= hi or v % d for row in dS for v in row):
                         continue
                     S = tuple(tuple(v // d for v in row) for row in dS)
+                elif det_a:
+                    continue  # det R det S = 0 != det(A)^k
                 else:
                     # R S = A^k stacked on S R = B^k
                     f = lambda S: mat_mul(R, S) + mat_mul(S, R)  # noqa: E731

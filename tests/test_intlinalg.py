@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from lattes_sft import BudgetExceededError, intlinalg
 from lattes_sft.intlinalg import (
-    abs_det,
     charpoly,
     column_echelon,
     identity,
@@ -189,18 +188,6 @@ def test_smith_normal_form_matches_sympy():
         got = smith_normal_form(M)
         assert got == want, M
         assert is_smith_chain(got)
-
-
-def test_abs_det_matches_sympy():
-    rng = random.Random(53)
-    singular = 0
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        M = rand_rect(rng, n, n, rng.choice((2, 10, 10**6)))
-        want = abs(int(sympy.Matrix(M).det()))
-        singular += want == 0
-        assert abs_det(M) == want, M
-    assert singular >= 40
 
 
 def test_scaled_inverse_matches_sympy():

@@ -23,7 +23,7 @@ from lattes_sft import (
     zeta_sft,
 )
 from lattes_sft import intlinalg, sft
-from lattes_sft.intlinalg import charpoly, mat_mul
+from lattes_sft.intlinalg import charpoly, identity, mat_mul
 from oracles import (
     gl2z_similar_listing, random_unimodular, shift_equivalent_scan, shift_equivalent_unfiltered,
 )
@@ -158,6 +158,21 @@ def _inverse_unimodular(T: IntMatrix2):
     return ((T.d // d, -T.b // d), (-T.c // d, T.a // d))
 
 
+def _spy_search(monkeypatch):
+    """Lists that record each result of ``scaled_inverse`` and the arguments
+    of each ``lattice_solutions`` call that the search makes."""
+    inverses, solves = [], []
+    real_inv, real_solve = sft.scaled_inverse, sft.lattice_solutions
+
+    def inv_spy(R):
+        inverses.append(real_inv(R))
+        return inverses[-1]
+
+    monkeypatch.setattr(sft, "scaled_inverse", inv_spy)
+    monkeypatch.setattr(sft, "lattice_solutions", lambda *a: solves.append(a) or real_solve(*a))
+    return inverses, solves
+
+
 class TestShiftEquivalent:
     def test_reflexivity_certificate(self):
         res = shift_equivalent(A_WORKED, A_WORKED)
@@ -285,71 +300,84 @@ class TestShiftEquivalent:
 
     def test_singular_candidates_are_never_solved(self, monkeypatch):
         # A and B are not similar over Q, so every R with A R = R B is
-        # singular and the determinant test skips it at every lag
+        # singular, and as det A != 0 none is solved at any lag
         A = SFTMatrix.parse("2,0,0;0,2,0;0,0,3")
         B = SFTMatrix.parse("2,1,0;0,2,0;0,0,3")
-        solves = []
-        real_inv, real_solve = sft.scaled_inverse, sft.lattice_solutions
-        monkeypatch.setattr(sft, "scaled_inverse", lambda R: solves.append(R) or real_inv(R))
-        monkeypatch.setattr(
-            sft, "lattice_solutions", lambda *a: solves.append(a) or real_solve(*a)
-        )
+        inverses, solves = _spy_search(monkeypatch)
         res = shift_equivalent(A, B)
         assert res.witness == "no certificate with entries <= 10 and lag <= 6"
         assert solves == []
+        # each of the 11^3 R of the box is inverted once, not once per lag
+        assert len(inverses) == 11**3
+        assert set(inverses) == {None}
 
-    def test_solved_candidates_have_dividing_determinants(self, monkeypatch):
-        lags, inverted = [], []
-        real_pow, real_inv = sft.mat_pow, sft.scaled_inverse
+    def test_lattice_solves_only_singular_candidates(self, monkeypatch):
+        inverted, solved = [], []
+        real_inv, real_solve = sft.scaled_inverse, sft.lattice_solutions
 
-        def pow_spy(M, e):
-            if M == A.rows:
-                lags.append(e)  # each lag k of the search starts with A^k
-            return real_pow(M, e)
+        def solve_spy(basis, n, f, *rest):
+            solved.append(f(identity(n))[:n])  # f(I) is R stacked on R
+            return real_solve(basis, n, f, *rest)
 
-        def inv_spy(R):
-            inverted.append((R, lags[-1]))
-            return real_inv(R)
-
-        monkeypatch.setattr(sft, "mat_pow", pow_spy)
-        monkeypatch.setattr(sft, "scaled_inverse", inv_spy)
-        # the second pair's least certificate is at lag 2, so the R inverted
-        # at lag 1 are searched again there
-        for A, B, bounds, k_cert in (
-            (SFTMatrix.parse("1,0,0;0,1,0;0,0,2"), SFTMatrix.parse("2,0,0;0,1,0;0,0,1"), (2, 6), 1),
-            (SFTMatrix.parse("0,3;2,1"), SFTMatrix.parse("1,3;2,0"), (4, 3), 2),
-        ):
-            lags.clear()
+        monkeypatch.setattr(sft, "scaled_inverse", lambda R: inverted.append(R) or real_inv(R))
+        monkeypatch.setattr(sft, "lattice_solutions", solve_spy)
+        rng = random.Random(239)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            A, B = _random_pair(rng)
             inverted.clear()
-            assert shift_equivalent(A, B, *bounds).certificate.k == k_cert
-            assert {k for _, k in inverted} == set(range(1, k_cert + 1))
-            # each R is inverted once, at the first lag its determinant divides
-            assert len({R for R, _ in inverted}) == len(inverted)
-            det_a = abs(sympy.Matrix(A.rows).det())
-            for R, k in inverted:
-                d = abs(sympy.Matrix(R).det())
-                assert d and det_a**k % d == 0, (R, k)
+            solved.clear()
+            shift_equivalent(A, B, 2, 2)
+            if not inverted:  # decided before the search
+                continue
+            singular_a = charpoly(A.rows)[0] == 0
+            seen[singular_a] += 1
+            # every R read is inverted once, and only a singular R with a
+            # singular A is solved
+            assert len(set(inverted)) == len(inverted), (A, B)
+            if not singular_a:
+                assert solved == [], (A, B)
+            for R in solved:
+                assert R in inverted and sympy.Matrix(R).det() == 0, (A, B, R)
+        assert min(seen.values()) >= 20, seen
+
+    def test_singular_a_inverts_nonsingular_candidates(self, monkeypatch):
+        # det A = 0, yet a nonsingular R has the one S = R^-1 A^k: of the 67
+        # R read up to the certificate only the 11 singular ones are solved
+        A = SFTMatrix.parse("1,1,0;1,1,0;0,1,2")
+        B = SFTMatrix.parse("1,0,1;0,2,1;1,0,1")
+        assert charpoly(A.rows)[0] == 0
+        inverses, solves = _spy_search(monkeypatch)
+        res = shift_equivalent(A, B)
+        cert = res.certificate
+        assert (cert.R, cert.S, cert.k) == (
+            ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
+            ((1, 1, 0), (0, 1, 2), (1, 1, 0)),
+            1,
+        )
+        assert len(inverses) == 67
+        assert len(solves) == inverses.count(None) == 11
+        # the same result as the search that solves all 67
+        assert res == shift_equivalent_unfiltered(A, B)
 
     def test_search_budget_counts_system_entries(self, monkeypatch):
         A = SFTMatrix.parse("2,0,0;0,2,0;0,0,3")
         B = SFTMatrix.parse("2,1,0;0,2,0;0,0,3")
         assert sft.SEARCH_BUDGET == 5 * 10**6
-        # every (lag, R) is charged before its determinant test, and no R of
-        # this pair passes the test, so the R tested are the charges that
-        # stayed within the budget
-        tested, inverted = [], []
-        real_det, real_inv = sft.abs_det, sft.scaled_inverse
-        monkeypatch.setattr(sft, "abs_det", lambda R: tested.append(R) or real_det(R))
+        # every (lag, R) is charged first, and an R read at lag 1 is then
+        # inverted once, so the R inverted are the lag-1 charges that stayed
+        # within the budget; the 11^3 R of lag 1 are not inverted again
+        inverted = []
+        real_inv = sft.scaled_inverse
         monkeypatch.setattr(sft, "scaled_inverse", lambda R: inverted.append(R) or real_inv(R))
         # a 3-dimensional lattice of S: 18 equations in 4 unknowns per (lag, R)
-        for budget, charges in ((5 * 72 + 71, 5), (6 * 72, 6)):
-            tested.clear()
+        for budget, charges in ((5 * 72 + 71, 5), (6 * 72, 6), ((11**3 + 5) * 72, 11**3)):
+            inverted.clear()
             monkeypatch.setattr(sft, "SEARCH_BUDGET", budget)
             res = shift_equivalent(A, B)
             assert res.status == "unknown"
             assert res.witness == "search budget exceeded before exhausting bounds"
-            assert len(tested) == charges
-        assert inverted == []
+            assert len(inverted) == charges
 
     def test_sylvester_budget_before_any_elimination(self, monkeypatch):
         A = SFTMatrix.parse("1,1;1,0")
