@@ -168,7 +168,8 @@ def expand(x: QuadSurd) -> ContinuedFraction:
     while not (0 < P <= s and s - P < Q <= s + P):
         if len(preperiod) == EXPAND_BUDGET:
             raise BudgetExceededError(
-                f"preperiod of {x} exceeds the expansion budget of {EXPAND_BUDGET} quotients"
+                f"preperiod of {x} exceeds the expansion budget of {EXPAND_BUDGET} quotients "
+                f"(EXPAND_BUDGET = {EXPAND_BUDGET})"
             )
         a = (P + s) // Q if Q > 0 else -((P + s) // -Q) - 1
         preperiod.append(a)
@@ -187,7 +188,8 @@ def expand(x: QuadSurd) -> ContinuedFraction:
             break
     else:
         raise BudgetExceededError(
-            f"period of {x} exceeds the expansion budget of {EXPAND_BUDGET} quotients"
+            f"period of {x} exceeds the expansion budget of {EXPAND_BUDGET} quotients "
+            f"(EXPAND_BUDGET = {EXPAND_BUDGET})"
         )
     return ContinuedFraction(tuple(preperiod), tuple(period))
 

@@ -3,16 +3,19 @@ Moebius conjugation, periodic-point counting, and truncated zeta series.
 
 Maps compose in integers: ``compose`` multiplies the integer coefficient
 lists of a ``RationalMap`` with ``intlinalg.poly_mul`` and, as a composition
-of maps in lowest terms is in lowest terms, takes no gcd; ``iterate``
-refuses an iterate of degree above ``ITERATE_DEGREE_BUDGET`` before
-composing anything.
+of maps in lowest terms is in lowest terms, takes no gcd.  The one chain
+of iterates is ``iterates``: it yields f, f o f, ..., f^n, each composed
+once from the one before, and refuses an iterate of degree above
+``ITERATE_DEGREE_BUDGET`` before composing anything; ``iterate`` and
+``pipeline.comparison_report`` read it.
 
 A Moebius map z -> (a z + b)/(c z + d) is its integer matrix
 ``IntMatrix2(a, b, c, d)``; composing maps is multiplying matrices, and a
 nonzero scalar multiple of the matrix is the same map.
 
 Counts are symbolic (degrees of exact polynomials) and come from
-``periodic_count`` alone; the floating root finder runs only in
+``periodic_count`` alone, which asserts the Bezout count d^n + 1 and that
+the distinct count is no larger; the floating root finder runs only in
 ``periodic_points``, locates the finitely many distinct finite periodic
 points and never feeds back into a count.
 
@@ -62,7 +65,7 @@ from .intlinalg import IntMatrix2, poly_mul
 from .lattes import RationalMap
 
 
-# Largest degree of an iterate that ``iterate`` builds: on a 2-core
+# Largest degree of an iterate that ``iterates`` builds: on a 2-core
 # container the doubling map's degree-4^5 iterate takes 0.3-0.6 s, its
 # degree-4^6 iterate 25-32 s, nearly all of it in the Kronecker products of
 # the last composition.
@@ -128,15 +131,24 @@ def _check_degree(what: str, d: int, n: int, name: str, budget: int) -> None:
         raise BudgetExceededError(f"{what} of degree {d}^{n} exceeds {name} = {budget}")
 
 
-def iterate(f: RationalMap, n: int) -> RationalMap:
-    """The n-th iterate f o ... o f; raises BudgetExceededError before any
-    composition when its degree f.degree^n exceeds ITERATE_DEGREE_BUDGET."""
+def iterates(f: RationalMap, n: int):
+    """The iterates f, f o f, ..., f^n, each composed once as f o f^(k-1).
+    Its first step raises BudgetExceededError, before any composition, when
+    the degree f.degree^n of the last exceeds ITERATE_DEGREE_BUDGET."""
     if n < 1:
         raise DomainError("iteration count must be >= 1")
     _check_degree("iterate", f.degree, n, "ITERATE_DEGREE_BUDGET", ITERATE_DEGREE_BUDGET)
     out = f
+    yield out
     for _ in range(n - 1):
         out = compose(f, out)
+        yield out
+
+
+def iterate(f: RationalMap, n: int) -> RationalMap:
+    """The n-th iterate f o ... o f, the last of ``iterates(f, n)``."""
+    for out in iterates(f, n):
+        pass
     return out
 
 
@@ -158,12 +170,6 @@ class PeriodicReport:
     count_distinct: int
     finite_points: tuple[complex, ...]
     infinity_fixed: bool
-
-    def __post_init__(self):
-        if self.count_with_multiplicity != self.degree**self.n + 1:
-            raise DomainError("count with multiplicity must be degree^n + 1")
-        if self.count_distinct > self.count_with_multiplicity:
-            raise DomainError("distinct count cannot exceed the total")
 
 
 def _context(digits: int) -> Context:
@@ -560,7 +566,9 @@ class PeriodicCount:
 
 
 def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
-    """Exact period-n counts of phi with no root finding."""
+    """Exact period-n counts of phi with no root finding.  Raises
+    ArithmeticError when the count with multiplicity is not the Bezout
+    count d^n + 1, or the distinct count exceeds it."""
     if n < 1:
         raise DomainError("period must be >= 1")
     d = phi.degree
@@ -578,10 +586,16 @@ def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
         i for i in range(N + 2) if Q.coefficient(N - i) != P.coefficient(N + 1 - i)
     )
     sqf = F.squarefree_part()
+    total = F.degree + mult_infinity
+    distinct = sqf.degree + (1 if infinity_fixed else 0)
+    if total != d**n + 1:
+        raise ArithmeticError("Bezout count identity violated")
+    if distinct > total:
+        raise ArithmeticError("distinct count exceeds the count with multiplicity")
     return PeriodicCount(
         degree=d,
-        count_with_multiplicity=F.degree + mult_infinity,
-        count_distinct=sqf.degree + (1 if infinity_fixed else 0),
+        count_with_multiplicity=total,
+        count_distinct=distinct,
         infinity_fixed=infinity_fixed,
         squarefree=sqf,
         finite_simple=sqf.degree == F.degree,

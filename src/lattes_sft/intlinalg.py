@@ -88,8 +88,8 @@ def square_part(n: int) -> tuple[int, int]:
         # stopped at the bound, so every prime factor of rest exceeds it
         if rest >= TRIAL_DIVISION_BOUND**3:
             raise BudgetExceededError(
-                f"square_part({n}): the cofactor {rest} left by trial division "
-                f"up to {TRIAL_DIVISION_BOUND} is not below the bound's cube"
+                f"square_part({n}): the cofactor {rest} left by trial division up to "
+                f"TRIAL_DIVISION_BOUND = {TRIAL_DIVISION_BOUND} is not below the bound's cube"
             )
         r = isqrt(rest)
         if r * r == rest:
@@ -243,16 +243,15 @@ def mat_pow(A, e: int) -> Rows:
     return out
 
 
-def mat_sub(A, B) -> Rows:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def trace(A) -> int:
     return sum(A[i][i] for i in range(len(A)))
 
 
-def scalar_matrix(n: int, c: int) -> Rows:
-    return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
+def add_scalar(M, c: int) -> Rows:
+    """M + c I for a square matrix M."""
+    return tuple(
+        tuple(v + c if i == j else v for j, v in enumerate(row)) for i, row in enumerate(M)
+    )
 
 
 def charpoly(A) -> tuple[int, ...]:
@@ -278,7 +277,7 @@ def charpoly(A) -> tuple[int, ...]:
         if rem:
             raise ArithmeticError("characteristic polynomial must be integral")
         coeffs[n - k] = c
-        M = mat_sub(AM, scalar_matrix(n, -c))
+        M = add_scalar(AM, c)
     return tuple(coeffs)
 
 

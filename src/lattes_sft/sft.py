@@ -27,6 +27,7 @@ from .errors import BudgetExceededError, DomainError, ParseError
 from .exactnum import Poly
 from .intlinalg import (
     IntMatrix2,
+    add_scalar,
     charpoly,
     identity,
     is_square,
@@ -34,9 +35,7 @@ from .intlinalg import (
     lattice_solutions,
     mat_mul,
     mat_pow,
-    mat_sub,
     matrix_text,
-    scalar_matrix,
     scaled_inverse,
     smith_normal_form,
     sylvester_basis,
@@ -242,7 +241,8 @@ def per_count_enumerate(A: SFTMatrix, n: int) -> int:
     edges = A.total_edges
     if edges**n > ENUMERATION_BUDGET:
         raise BudgetExceededError(
-            f"enumeration budget exceeded: {edges}^{n} closed-walk bound"
+            f"enumeration budget exceeded: {edges}^{n} closed-walk bound exceeds "
+            f"ENUMERATION_BUDGET = {ENUMERATION_BUDGET}"
         )
     adj = [
         [j for j in range(A.n) for _ in range(A.rows[i][j])] for i in range(A.n)
@@ -260,8 +260,8 @@ def k_invariants(A) -> KInvariants:
     """K-group data of the shift matrix from one Smith normal form.
 
     K0 = Z^n/(I - A^t)Z^n, K1 = ker(I - A^t), Bowen-Franks = Z^n/(I - A)Z^n,
-    and K0 = BF because coker(M) = coker(M^t): one Smith diagonal of I - A
-    gives all three.  Accepts an SFTMatrix or any square integer row tuple
+    and K0 = BF because coker(M) = coker(M^t): one Smith diagonal of A - I,
+    the same as that of I - A, gives all three.  Accepts an SFTMatrix or any square integer row tuple
     (non-negativity is not needed for these quotients).
     """
     rows = A.rows if isinstance(A, SFTMatrix) else tuple(
@@ -270,7 +270,7 @@ def k_invariants(A) -> KInvariants:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DomainError("matrix must be square")
-    bf = AbelianGroupInvariant.from_smith_diagonal(smith_normal_form(mat_sub(identity(n), rows)))
+    bf = AbelianGroupInvariant.from_smith_diagonal(smith_normal_form(add_scalar(rows, -1)))
     return KInvariants(K0=bf, K1_rank=bf.rank, bowen_franks=bf)
 
 
@@ -435,8 +435,8 @@ def gl2z_similar(A: IntMatrix2, B: IntMatrix2, bound: int = 10) -> SimilarityRes
         # s*s = tr*tr - 4*dt, so s and tr have the same parity
         s = isqrt(disc)
         for lam in ((tr + s) // 2, (tr - s) // 2):
-            dA = smith_normal_form(mat_sub(A.rows(), scalar_matrix(2, lam)))
-            dB = smith_normal_form(mat_sub(B.rows(), scalar_matrix(2, lam)))
+            dA = smith_normal_form(add_scalar(A.rows(), -lam))
+            dB = smith_normal_form(add_scalar(B.rows(), -lam))
             if dA != dB:
                 return SimilarityResult(
                     "not_similar",

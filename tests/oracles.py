@@ -336,14 +336,19 @@ def signed_key(rows) -> tuple:
     return tuple((abs(v), 0 if v >= 0 else 1) for r in rows for v in r)
 
 
+def mat_sub(A, B):
+    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def scalar_matrix(n: int, c: int):
+    return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def gl2z_similar_listing(A, B, bound: int = 10):
     """Reference GL2(Z) similarity: the pre-filters of ``sft.gl2z_similar``,
     then every T with A T = T B and |entries| <= bound listed, and the
     least unimodular one under ``signed_key`` kept."""
-    from lattes_sft.intlinalg import (
-        IntMatrix2, is_square, mat_sub, scalar_matrix, smith_normal_form,
-        sylvester_solutions,
-    )
+    from lattes_sft.intlinalg import IntMatrix2, is_square, smith_normal_form, sylvester_solutions
     from lattes_sft.sft import SimilarityResult
 
     if A == B:

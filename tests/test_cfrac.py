@@ -99,6 +99,11 @@ class TestQuadSurd:
         with pytest.raises(DomainError):
             QuadSurd(0, 1, -2)
 
+    def test_cmp_fraction_below_the_rational_part(self):
+        # r Q - P < 0: the sign follows from that of Q alone
+        assert surd(0, 1, 2).cmp_fraction(Fraction(-1)) == 1  # sqrt(2) > -1
+        assert surd(0, -1, 2).cmp_fraction(Fraction(1)) == -1  # -sqrt(2) < 1
+
     def test_text_roundtrip(self):
         for s in (surd(0, 2, 2), surd(-1, 3, 5), surd(7, -2, 13)):
             assert QuadSurd.parse(str(s)) == s
@@ -333,6 +338,11 @@ class TestContinuedFractionType:
             ContinuedFraction((1, 0), (2,))
         ContinuedFraction((-3, 1), (2,))  # negative leading entry is fine
 
+    def test_cmp_fraction_below_the_rational_part(self):
+        # r Q - P < 0: the sign follows from that of Q alone
+        assert surd(0, 1, 2).cmp_fraction(Fraction(-1)) == 1  # sqrt(2) > -1
+        assert surd(0, -1, 2).cmp_fraction(Fraction(1)) == -1  # -sqrt(2) < 1
+
     def test_text_roundtrip(self):
         for cf in (
             ContinuedFraction((0, 1), (2,)),
@@ -357,6 +367,11 @@ class TestIntMatrix2:
         assert A.det() == -2 and A.trace() == 5
         At = IntMatrix2(1, 3, 2, 4)
         assert (At.det(), At.trace()) == (A.det(), A.trace())
+
+    def test_cmp_fraction_below_the_rational_part(self):
+        # r Q - P < 0: the sign follows from that of Q alone
+        assert surd(0, 1, 2).cmp_fraction(Fraction(-1)) == 1  # sqrt(2) > -1
+        assert surd(0, -1, 2).cmp_fraction(Fraction(1)) == -1  # -sqrt(2) < 1
 
     def test_text_roundtrip(self):
         # SFTMatrix.parse is the one matrix-text parser

@@ -38,6 +38,15 @@ class TestVerify:
         assert rc == 3
         assert "MISMATCH" in out
 
+    def test_broken_str_is_a_mismatch(self, capsys, monkeypatch):
+        # the expected values are literal text, not built by the code checked
+        from lattes_sft.cfrac import ContinuedFraction
+
+        monkeypatch.setattr(ContinuedFraction, "__str__", lambda self: "BROKEN")
+        rc, out, _ = run(capsys, ["verify"])
+        assert rc == 3
+        assert "MISMATCH cf: expected [0,1;(2)], got BROKEN" in out
+
 
 class TestFunctor:
     def test_worked_example_json(self, capsys):
@@ -326,6 +335,15 @@ class TestCompare:
         assert rc == 0
         assert "n\ttrace_count\tdistinct_count\tmultiplicity_count" in out
         assert "1\t0\t5\t5" in out
+
+    def test_iterate_budget_exits_1(self, capsys):
+        rc, out, err = run(
+            capsys,
+            ["compare", "--curve", "4,2,0", "--D", "2", "--eps", "0+1*sqrt(2)",
+             "-n", "6"],
+        )
+        assert (rc, out) == (1, "")
+        assert "ITERATE_DEGREE_BUDGET = 1024" in err
 
     def test_D_at_most_1_exits_1(self, capsys):
         rc, out, err = run(

@@ -601,6 +601,36 @@ class TestAberth:
                     )
                     assert abs(poly_mp(F, r)) < 1e-9 * scale
 
+    def test_zero_derivative_is_nudged(self):
+        # 0 is the critical point of z^2 - 1: p'(0) = 0 gives no Newton step,
+        # so the sweep moves the point by the nudge and says so
+        newton = dynsys._horner_pairs(P(-1, 0, 1).ints)
+        with decimal.localcontext(dynsys._context(40)):
+            nudge = decimal.Decimal(2) ** -64
+            re, im = [decimal.Decimal(0), decimal.Decimal(5)], [decimal.Decimal(0)] * 2
+            _, nudged = dynsys._aberth_sweep(newton, re, im, decimal.Decimal(4) ** -128, nudge)
+        assert nudged
+        assert (re[0], im[0]) == (nudge, 0)
+
+    def test_stall_below_the_top_level_moves_up_one_level(self, monkeypatch):
+        # at 1024 bits the polish has two levels; a largest step below
+        # FLOAT_STEP that does not shrink at the lower one moves the next
+        # sweep to the top, where a zero step converges
+        steps = iter([decimal.Decimal("1e-30"), decimal.Decimal("1e-30"), decimal.Decimal(0)])
+        digits = []
+
+        def fake(newton, re, im, floor2, nudge):
+            digits.append(decimal.getcontext().prec)
+            return next(steps), False
+
+        monkeypatch.setattr(dynsys, "_aberth_sweep", fake)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = dynsys._polish(None, [(decimal.Decimal(1), decimal.Decimal(0))], 1024)
+        assert out == [(1, 0)]
+        top = math.ceil((1024 + 32) * math.log10(2)) + 1
+        assert digits[0] == digits[1] < digits[2] == top
+
 
 def _pair_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])

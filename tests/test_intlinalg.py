@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lattes_sft import BudgetExceededError, intlinalg
 from lattes_sft.intlinalg import (
+    add_scalar,
     charpoly,
     column_echelon,
     identity,
@@ -17,7 +18,6 @@ from lattes_sft.intlinalg import (
     lattice_solutions,
     mat_mul,
     mat_pow,
-    mat_sub,
     poly_mul,
     scaled_inverse,
     smith_normal_form,
@@ -547,7 +547,7 @@ def test_solve_right():
 
 def test_mat_helpers():
     A = ((1, 2), (3, 4))
-    assert mat_sub(A, A) == ((0, 0), (0, 0))
+    assert add_scalar(A, -1) == ((0, 2), (3, 3))
     assert mat_pow(A, 0) == identity(2)
     assert mat_pow(A, 3) == mat_mul(A, mat_mul(A, A))
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lattes_sft import (
+    BudgetExceededError,
     ContinuedFraction,
     DomainError,
     EllipticCurve,
@@ -303,8 +304,7 @@ class TestComparisonReport:
             calls.append(g)
             return compose(f, g)
 
-        for module in (dynsys, pipeline):
-            monkeypatch.setattr(module, "compose", counted)
+        monkeypatch.setattr(dynsys, "compose", counted)
         phi = duplication_map(E)
         A = SFTMatrix.from_intmatrix2(companion_matrix(eps))
         for n_max in range(1, 5):
@@ -343,8 +343,27 @@ class TestComparisonReport:
         with pytest.raises(ArithmeticError, match="Bezout"):
             comparison_report(CURVE, SQRT2, 1)
 
-    def test_guard(self):
-        with pytest.raises(DomainError):
-            comparison_report(CURVE, SQRT2, 5)
+    def test_guard(self, monkeypatch):
+        def no_compose(f, g):
+            raise AssertionError("composed past the budget")
+
+        monkeypatch.setattr(dynsys, "compose", no_compose)
+        with pytest.raises(BudgetExceededError, match="ITERATE_DEGREE_BUDGET = 1024"):
+            comparison_report(CURVE, SQRT2, 6)
+        assert issubclass(BudgetExceededError, DomainError)
         with pytest.raises(DomainError):
             comparison_report(CURVE, SQRT2, 0)
+        # the field is checked before the iterate budget
+        with pytest.raises(DomainError, match=r"epsilon lies in Q\(sqrt\(3\)\)"):
+            comparison_report(CURVE, QuadElem(0, 1, 3), 6)
+
+    def test_period_five(self):
+        rows = comparison_report(CURVE, SQRT2, 5)
+        assert [(r.n, r.trace_count, r.distinct_count, r.multiplicity_count) for r in rows] == [
+            (1, 0, 5, 5), (2, 4, 17, 17), (3, 0, 65, 65), (4, 8, 257, 257), (5, 0, 1025, 1025)
+        ]
+
+    def test_enumeration_budget_is_named(self):
+        # the companion matrix of 8 sqrt(2) has 129 edges, and 129^4 > 10^7
+        with pytest.raises(BudgetExceededError, match="ENUMERATION_BUDGET = 10000000"):
+            comparison_report(CURVE, QuadElem(0, 8, 2), 4)

@@ -110,6 +110,11 @@ class TestZetaSft:
         with pytest.raises(DomainError):
             ZetaRational(Poly.one(), Poly((0, 1)))
 
+    def test_zeta_rational_cancels_a_common_factor(self):
+        # (1 - t)/(1 - t^2) = 1/(1 + t)
+        z = ZetaRational(Poly((1, -1)), Poly((1, 0, -1)))
+        assert z.num == Poly.one() and z.den == Poly((1, 1))
+
 
 class TestKInvariants:
     def test_worked_matrix_trivial(self):
@@ -174,6 +179,12 @@ def _spy_search(monkeypatch):
 
 
 class TestShiftEquivalent:
+    def test_certificate_build_rejects_lag_and_sign(self):
+        with pytest.raises(DomainError, match="lag must be positive"):
+            SECertificate.build(A_WORKED, A_WORKED, identity(2), A_WORKED.rows, 0)
+        with pytest.raises(DomainError, match="non-negative"):
+            SECertificate.build(A_WORKED, A_WORKED, ((-1, 0), (0, -1)), A_WORKED.rows, 1)
+
     def test_reflexivity_certificate(self):
         res = shift_equivalent(A_WORKED, A_WORKED)
         assert res.status == "equivalent"
