@@ -338,11 +338,6 @@ class TestContinuedFractionType:
             ContinuedFraction((1, 0), (2,))
         ContinuedFraction((-3, 1), (2,))  # negative leading entry is fine
 
-    def test_cmp_fraction_below_the_rational_part(self):
-        # r Q - P < 0: the sign follows from that of Q alone
-        assert surd(0, 1, 2).cmp_fraction(Fraction(-1)) == 1  # sqrt(2) > -1
-        assert surd(0, -1, 2).cmp_fraction(Fraction(1)) == -1  # -sqrt(2) < 1
-
     def test_text_roundtrip(self):
         for cf in (
             ContinuedFraction((0, 1), (2,)),
@@ -367,11 +362,6 @@ class TestIntMatrix2:
         assert A.det() == -2 and A.trace() == 5
         At = IntMatrix2(1, 3, 2, 4)
         assert (At.det(), At.trace()) == (A.det(), A.trace())
-
-    def test_cmp_fraction_below_the_rational_part(self):
-        # r Q - P < 0: the sign follows from that of Q alone
-        assert surd(0, 1, 2).cmp_fraction(Fraction(-1)) == 1  # sqrt(2) > -1
-        assert surd(0, -1, 2).cmp_fraction(Fraction(1)) == -1  # -sqrt(2) < 1
 
     def test_text_roundtrip(self):
         # SFTMatrix.parse is the one matrix-text parser
