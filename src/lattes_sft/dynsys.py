@@ -54,6 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -131,7 +132,7 @@ def _check_degree(what: str, d: int, n: int, name: str, budget: int) -> None:
         raise BudgetExceededError(f"{what} of degree {d}^{n} exceeds {name} = {budget}")
 
 
-def iterates(f: RationalMap, n: int):
+def iterates(f: RationalMap, n: int) -> Iterator[RationalMap]:
     """The iterates f, f o f, ..., f^n, each composed once as f o f^(k-1).
     Its first step raises BudgetExceededError, before any composition, when
     the degree f.degree^n of the last exceeds ITERATE_DEGREE_BUDGET."""

@@ -261,8 +261,9 @@ def k_invariants(A) -> KInvariants:
 
     K0 = Z^n/(I - A^t)Z^n, K1 = ker(I - A^t), Bowen-Franks = Z^n/(I - A)Z^n,
     and K0 = BF because coker(M) = coker(M^t): one Smith diagonal of A - I,
-    the same as that of I - A, gives all three.  Accepts an SFTMatrix or any square integer row tuple
-    (non-negativity is not needed for these quotients).
+    the same as that of I - A, gives all three.  Accepts an SFTMatrix or any
+    square integer row tuple (non-negativity is not needed for these
+    quotients).
     """
     rows = A.rows if isinstance(A, SFTMatrix) else tuple(
         tuple(int(v) for v in r) for r in A
