@@ -250,7 +250,6 @@ D_HELP = (
     "radicand D > 1, not a discriminant: eps lies in Q(sqrt(D)), the lattice "
     "is Z + Z*sqrt(D), and the curve is taken to have CM by Q(sqrt(-D))"
 )
-CURVE_HELP = "; write a value that starts with '-' as --curve=-3,-32,-64"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("functor", help="full invariant chain for (curve, D, eps)")
     p.add_argument("--D", type=int, required=True, help=D_HELP)
     p.add_argument("--eps", required=True, help="field element 'a+b*sqrt(D)'")
-    p.add_argument("--curve", help="curve 'a,b,c' (optional annotation)" + CURVE_HELP)
+    p.add_argument("--curve", help="curve 'a,b,c' (optional annotation)")
     p.set_defaults(func=cmd_functor)
 
     p = sub.add_parser("zeta", help="zeta function of an edge shift")
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periodic", help="periodic points of a rational map")
     p.add_argument("--map", help="rational map 'num_coeffs / den_coeffs'")
-    p.add_argument("--curve", help="curve 'a,b,c' (its doubling map is used)" + CURVE_HELP)
+    p.add_argument("--curve", help="curve 'a,b,c' (its doubling map is used)")
     p.add_argument("-n", type=int, required=True, help="period")
     p.set_defaults(func=cmd_periodic)
 
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cfrac)
 
     p = sub.add_parser("compare", help="periodic-point count comparison table")
-    p.add_argument("--curve", required=True, help="curve 'a,b,c'" + CURVE_HELP)
+    p.add_argument("--curve", required=True, help="curve 'a,b,c'")
     p.add_argument("--D", type=int, required=True, help=D_HELP)
     p.add_argument("--eps", required=True, help="field element 'a+b*sqrt(D)'")
     p.add_argument("-n", type=int, required=True,
@@ -317,10 +316,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value can start with '-' and a digit, as a curve, a field
+# element or a map with a negative first coefficient does.
+_SIGNED_VALUE_OPTIONS = ("--curve", "--eps", "--map")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with each of _SIGNED_VALUE_OPTIONS joined by '=' to a next
+    token that starts with '-' and a digit: argparse reads such a token as
+    an option unless it is a plain number, so ``--curve -3,-32,-64`` would
+    exit 2 with 'expected one argument'."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

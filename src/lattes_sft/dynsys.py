@@ -1,11 +1,12 @@
 """Exact dynamics of rational self-maps of the projective line: composition,
 Moebius conjugation, periodic-point counting, and truncated zeta series.
 
-Maps compose in integers: ``compose`` multiplies the integer coefficient
-lists of a ``RationalMap`` with ``intlinalg.poly_mul`` and, as a composition
-of maps in lowest terms is in lowest terms, takes no gcd.  The one chain
-of iterates is ``iterates``: it yields f, f o f, ..., f^n, each composed
-once from the one before, and refuses an iterate of degree above
+Maps compose in integers: ``compose`` evaluates the homogeneous pair of f
+at that of g with ``intlinalg.compose_pair``, one Kronecker substitution
+for the whole composition, and, as a composition of maps in lowest terms
+is in lowest terms, takes no gcd.  The one chain of iterates is
+``iterates``: it yields f, f o f, ..., f^n, each composed once from the
+one before, and refuses an iterate of degree above
 ``ITERATE_DEGREE_BUDGET`` before composing anything; ``iterate`` and
 ``pipeline.comparison_report`` read it.
 
@@ -58,18 +59,18 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import chain
 
 from .errors import PRECISION_BUDGET, BudgetExceededError, DomainError
 from .exactnum import Poly
-from .intlinalg import IntMatrix2, poly_mul
+from .intlinalg import IntMatrix2, compose_pair
 from .lattes import RationalMap
 
 
 # Largest degree of an iterate that ``iterates`` builds: on a 2-core
-# container the doubling map's degree-4^5 iterate takes 0.3-0.6 s, its
-# degree-4^6 iterate 25-32 s, nearly all of it in the Kronecker products of
-# the last composition.
+# container, with one packed integer per sum of a composition, the doubling
+# map's degree-4^5 iterate takes 0.3-0.6 s, its degree-4^6 iterate 32-34 s,
+# nearly all of it in the big-integer products of the last composition.
 ITERATE_DEGREE_BUDGET = 4**5
 
 # Largest degree phi.degree^n whose periodic points ``periodic_points``
@@ -101,28 +102,17 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
 
     For f = sum a_i x^i / sum b_i x^i of degree m and g = r/s, f o g is
     sum a_i r^i s^(m-i) / sum b_i r^i s^(m-i).  A ``RationalMap`` holds
-    integer coefficients over the denominator 1, so every product is one
-    ``poly_mul`` on its ``ints`` and the map is built once, from the two
-    sums.  Those sums need no gcd: for the homogeneous pairs of f and g,
-    Res(f o g) = Res(f)^(deg g) Res(g)^((deg f)^2) (Silverman, The
+    integer coefficients over the denominator 1, so both sums come from
+    one ``intlinalg.compose_pair`` on the ``ints``: r and s are packed
+    once, and each sum is one integer unpacked once.  The map is built
+    from the two sums, which need no gcd: for the homogeneous pairs of f
+    and g, Res(f o g) = Res(f)^(deg g) Res(g)^((deg f)^2) (Silverman, The
     Arithmetic of Dynamical Systems, 2007, section 2.4), which is nonzero
     as f and g are in lowest terms, so only the integer content is divided
     out (``RationalMap._coprime``)."""
-    m = f.degree
-    r, s = g.num.ints, g.den.ints
-    rp = [[1]]
-    sp = [[1]]
-    for _ in range(m):
-        rp.append(poly_mul(rp[-1], r))
-        sp.append(poly_mul(sp[-1], s))
-    num = [0] * (m * (max(len(r), len(s)) - 1) + 1)
-    den = list(num)
-    for i, (a, b) in enumerate(zip_longest(f.num.ints, f.den.ints, fillvalue=0)):
-        if a or b:
-            for j, c in enumerate(poly_mul(rp[i], sp[m - i])):
-                num[j] += a * c
-                den[j] += b * c
-    return RationalMap._coprime(num, den)
+    return RationalMap._coprime(
+        *compose_pair(f.num.ints, f.den.ints, g.num.ints, g.den.ints)
+    )
 
 
 def _check_degree(what: str, d: int, n: int, name: str, budget: int) -> None:

@@ -9,9 +9,9 @@ package) over the product of the denominators, division is one integer
 pseudo-division ``_pseudo_divmod``, shared with the gcd, and a gcd is
 certified coprime modulo a prime or runs as a primitive polynomial
 remainder sequence, which keeps coefficient growth in check.  The
-certificate primes lie below 2^30, so every residue is one CPython digit
-and the mod-p Euclid stays on CPython's one-digit integer paths: at
-degree 64 it takes less than half the time it takes modulo 2^61 - 1.
+mod-p Euclid of the certificate runs on 128-bit lanes of one integer per
+polynomial, a few big-integer operations per step; its primes lie below
+2^30 so that a lane stays below 2^64 between two Barrett reductions.
 """
 
 from __future__ import annotations
@@ -75,22 +75,64 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
 _COPRIMALITY_PRIMES = (1073741789, 1073741783, 999999937)
 
 
+_LANE = b"\xff" * 8 + b"\x00" * 8  # the low 64 bits of a 128-bit lane
+
+
+def _drop_zero_lanes(A: int, d: int, p: int) -> tuple[int, int]:
+    """A with its top lanes from lane d down that are 0 mod p removed, and
+    the index of its new top lane (-1 when none is left)."""
+    while d >= 0:
+        top = A >> (128 * d)
+        if top % p:
+            break
+        A -= top << (128 * d)
+        d -= 1
+    return A, d
+
+
 def _gfp_gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    """Degree of gcd(a mod p, b mod p) over GF(p)."""
-    a = _trim([c % p for c in a])
-    b = _trim([c % p for c in b])
-    while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        r = list(a)
-        while r and len(r) - 1 >= db:
-            f = (r[-1] * inv) % p
-            d = len(r) - 1 - db
-            for i, bc in enumerate(b):
-                r[i + d] = (r[i + d] - f * bc) % p
-            _trim(r)
-        a, b = b, r
-    return len(a) - 1
+    """Degree of gcd(a mod p, b mod p) over GF(p), for a prime p < 2^30.
+
+    A polynomial is one integer whose 128-bit lanes hold its coefficients,
+    lowest degree first, as non-negative representatives mod p, so each
+    Euclid step is a few big-integer operations, not a loop over the
+    coefficients.  A quotient step adds c B << 128 (da - db), with c in
+    [0, p) chosen so that the top lane becomes 0 mod p, and drops that
+    lane.  One Barrett step, A - p (((A m) >> 64) & low) with
+    m = floor(2^64 / p) and low the low 64 bits of every lane, brings
+    every lane of A below 2p at once; it runs after every 6 quotient steps
+    and whenever a remainder becomes the divisor.  The lanes of a divisor
+    are then below 2p, so a step adds less than 2 p^2 to a lane, and as
+    p < 2^30 a lane stays below 2p + 12 p^2 < 2^64 between two Barrett
+    steps.  So A m never carries from one lane into the next (each lane's
+    product is below 2^128), the quotient a lane reads is floor(a_i m /
+    2^64) >= floor(a_i / p) - 1, and no lane goes negative."""
+    m = (1 << 64) // p
+    low = int.from_bytes(_LANE * max(len(a), len(b)), "little")
+
+    def lanes(v: list[int]) -> int:
+        return int.from_bytes(b"".join((c % p).to_bytes(16, "little") for c in v), "little")
+
+    A, da = _drop_zero_lanes(lanes(a), len(a) - 1, p)
+    B, db = _drop_zero_lanes(lanes(b), len(b) - 1, p)
+    while db >= 0:
+        neg_inv = -pow((B >> (128 * db)) % p, -1, p)
+        steps = 0
+        while da >= db:
+            shift = 128 * da
+            c = (A >> shift) * neg_inv % p
+            if c:
+                A += (c * B) << (shift - 128 * db)
+                steps += 1
+                if steps == 6:
+                    A -= p * (((A * m) >> 64) & low)
+                    steps = 0
+            A -= (A >> shift) << shift
+            da -= 1
+        A, da = _drop_zero_lanes(A, da, p)
+        A -= p * (((A * m) >> 64) & low)
+        A, B, da, db = B, A, db, da
+    return da
 
 
 def _provably_coprime(a: list[int], b: list[int]) -> bool:
@@ -221,6 +263,8 @@ class Poly:
             return other.monic()
         if other.is_zero:
             return self.monic()
+        if self.degree == 0 or other.degree == 0:
+            return Poly.one()  # a nonzero constant is a unit
         if _provably_coprime(self.ints, other.ints):
             return Poly.one()
         return Poly._from_ints(_prs_gcd(self.ints, other.ints)).monic()

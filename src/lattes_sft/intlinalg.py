@@ -2,8 +2,10 @@
 
 Square tests and square-free parts by bounded trial division, the one
 polynomial product of the package (``poly_mul``, by Kronecker
-substitution on integer coefficient lists), the 2x2 matrix type
-``IntMatrix2``, and general matrices as tuples of row tuples.
+substitution on integer coefficient lists) and the composition of
+homogeneous pairs (``compose_pair``, one Kronecker substitution for a
+whole composition; only these two know the packed format), the 2x2
+matrix type ``IntMatrix2``, and general matrices as tuples of row tuples.
 ``IntMatrix2`` is every 2x2 integer matrix of the package, the Moebius
 maps of ``dynsys.conjugate`` included; its product ``mat2_mul`` also runs
 on the bare 4-tuples of ``cfrac.period_matrix``, and ``matrix_text`` is
@@ -26,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from operator import add, le, mul, sub
 
@@ -112,6 +115,25 @@ def _kronecker_pack(v: list[int], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _kronecker_unpack(value: int, n: int, width: int) -> list[int]:
+    """The n coefficients of value read as digits in base 2^(8*width),
+    balanced: each in [-2^(8*width-1), 2^(8*width-1)).  Exact when every
+    coefficient of the polynomial value encodes is below 2^(8*width-1) in
+    absolute value; then |value| < 2^(8*width*n - 1), so its two's
+    complement in n digits is exact, and each digit at or above half is
+    negative and borrows from the next."""
+    base = 1 << (8 * width)
+    half = base >> 1
+    data = value.to_bytes(n * width, "little", signed=True)
+    out = []
+    carry = 0
+    for i in range(0, n * width, width):
+        c = int.from_bytes(data[i : i + width], "little") + carry
+        carry = c >= half
+        out.append(c - base if carry else c)
+    return out
+
+
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
     """Product of integer coefficient lists, lowest degree first, by
     Kronecker substitution: each list is read as the digits of one integer
@@ -132,7 +154,6 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
             i = next(i for i, c in enumerate(x) if c)
             c = x[i]
             return [0] * i + [c * v for v in y] + [0] * (len(x) - 1 - i)
-    n = len(a) + len(b) - 1
     bits = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()
@@ -140,19 +161,50 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
         + 1
     )
     width = (bits + 7) // 8
-    base = 1 << (8 * width)
-    half = base >> 1
     product = _kronecker_pack(a, width) * _kronecker_pack(b, width)
-    # |product| < 2^(8*width*n - 1), so its two's complement in n digits is
-    # exact; each digit at or above half is negative and borrows from the next
-    data = product.to_bytes(n * width, "little", signed=True)
-    out = []
-    carry = 0
-    for i in range(0, n * width, width):
-        c = int.from_bytes(data[i : i + width], "little") + carry
-        carry = c >= half
-        out.append(c - base if carry else c)
-    return out
+    return _kronecker_unpack(product, len(a) + len(b) - 1, width)
+
+
+def compose_pair(
+    a: list[int], b: list[int], r: list[int], s: list[int]
+) -> tuple[list[int], list[int]]:
+    """The homogeneous pair (a, b) of degree m = max(len(a), len(b)) - 1
+    at the pair (r, s): the coefficient lists of sum a_i r^i s^(m-i) and
+    sum b_i r^i s^(m-i), lowest degree first, each with
+    m * (max(len(r), len(s)) - 1) + 1 entries, for m >= 1 and a, b not
+    both zero.
+
+    One Kronecker substitution serves the whole composition: r and s are
+    packed once, at a byte width that holds every coefficient of both
+    sums.  A coefficient of r^i s^(m-i) is at most max(|r|_1, |s|_1)^m in
+    absolute value (|.|_1 the sum of the absolute coefficients), so one of
+    a sum is at most max(|a|_1, |b|_1) max(|r|_1, |s|_1)^m; that bound,
+    which also holds every coefficient of r and s, is below
+    2^(8*width-1).  The powers of the packed r and s are built by repeated
+    squaring, each sum takes one product r^i s^(m-i) per i and a scalar
+    multiple of it, and each sum is unpacked once.  Only the final
+    coefficients must fit the width: a packed integer is the polynomial's
+    value at 2^(8*width), and a product of values is the value of the
+    product whatever the size of its coefficients."""
+    m = max(len(a), len(b)) - 1
+    bound = max(sum(map(abs, a)), sum(map(abs, b))) * max(
+        sum(map(abs, r)), sum(map(abs, s))
+    ) ** m
+    width = (bound.bit_length() + 8) // 8
+    rp = [1, _kronecker_pack(r, width)]
+    sp = [1, _kronecker_pack(s, width)]
+    for i in range(2, m + 1):
+        # r^i = r^(i//2) r^(i - i//2): a square when i is even
+        rp.append(rp[i // 2] * rp[i - i // 2])
+        sp.append(sp[i // 2] * sp[i - i // 2])
+    num = den = 0
+    for i, (x, y) in enumerate(zip_longest(a, b, fillvalue=0)):
+        if x or y:
+            term = rp[i] * sp[m - i]
+            num += x * term
+            den += y * term
+    n = m * (max(len(r), len(s)) - 1) + 1
+    return _kronecker_unpack(num, n, width), _kronecker_unpack(den, n, width)
 
 
 def matrix_text(rows) -> str:

@@ -1,8 +1,10 @@
-"""Independent oracles used by the tests.
+"""Independent reference routes used by the tests.
 
 Nothing here imports the code paths it checks: continued fractions come from
 high-precision floats, Hermite forms from brute-force lattice point sets, and
-unimodular matrices from explicit elementary products.
+unimodular matrices from explicit elementary products.  The integer
+composition by one ``poly_mul`` per product and the mod-p Euclid on lists
+of residues are the routes the packed kernels replaced.
 """
 
 import random
@@ -186,6 +188,58 @@ def compose_fraction(f, g):
         num = num + f.num.coefficient(i) * cross
         den = den + f.den.coefficient(i) * cross
     return RationalMap(num, den)
+
+
+def compose_poly_mul(f, g):
+    """Reference composition f o g in integers with one ``poly_mul`` per
+    product, each packing and unpacking its own operands: the powers
+    r^i and s^i one product at a time, one product r^i s^(m-i) per i, and
+    the two sums accumulated coefficient by coefficient."""
+    from itertools import zip_longest
+
+    from lattes_sft.intlinalg import poly_mul
+    from lattes_sft.lattes import RationalMap
+
+    m = f.degree
+    r, s = g.num.ints, g.den.ints
+    rp = [[1]]
+    sp = [[1]]
+    for _ in range(m):
+        rp.append(poly_mul(rp[-1], r))
+        sp.append(poly_mul(sp[-1], s))
+    num = [0] * (m * (max(len(r), len(s)) - 1) + 1)
+    den = list(num)
+    for i, (a, b) in enumerate(zip_longest(f.num.ints, f.den.ints, fillvalue=0)):
+        if a or b:
+            for j, c in enumerate(poly_mul(rp[i], sp[m - i])):
+                num[j] += a * c
+                den[j] += b * c
+    return RationalMap._coprime(num, den)
+
+
+def gfp_gcd_degree_euclid(a, b, p: int) -> int:
+    """Reference degree of gcd(a mod p, b mod p) over GF(p): Euclid on
+    lists of residues, one coefficient at a time."""
+
+    def trim(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a = trim([c % p for c in a])
+    b = trim([c % p for c in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        r = list(a)
+        while r and len(r) - 1 >= db:
+            f = (r[-1] * inv) % p
+            d = len(r) - 1 - db
+            for i, bc in enumerate(b):
+                r[i + d] = (r[i + d] - f * bc) % p
+            trim(r)
+        a, b = b, r
+    return len(a) - 1
 
 
 def poly_divmod_fraction(a, b):

@@ -30,7 +30,7 @@ from lattes_sft import (
 )
 from lattes_sft import cli
 from lattes_sft.lattes import EllipticCurve
-from oracles import (
+from reference import (
     cf_float,
     double_point,
     lift_y,

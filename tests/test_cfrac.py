@@ -20,7 +20,7 @@ from lattes_sft import (
 )
 from lattes_sft import cfrac, intlinalg
 from lattes_sft.intlinalg import is_square
-from oracles import cf_float, expand_seen, period_matrix_fold, surd_canonical, surd_value
+from reference import cf_float, expand_seen, period_matrix_fold, surd_canonical, surd_value
 
 
 def surd(P, Q, D):

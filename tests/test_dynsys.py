@@ -30,7 +30,7 @@ from lattes_sft import (
 from lattes_sft import cli, dynsys
 from lattes_sft.exactnum import _prs_gcd
 from lattes_sft.intlinalg import poly_mul
-from oracles import aberth_roots_mp, compose_fraction, poly_mp, roots_mpc
+from reference import aberth_roots_mp, compose_fraction, compose_poly_mul, poly_mp, roots_mpc
 
 
 def P(*coeffs):
@@ -116,6 +116,31 @@ class TestCompose:
             if step.degree <= 64:
                 assert len(_prs_gcd(list(step.num.ints), list(step.den.ints))) == 1
             out = step
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        maps=st.lists(
+            st.lists(st.integers(-(2**64), 2**64), min_size=1, max_size=6),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    def test_compose_matches_poly_mul_route(self, maps):
+        # mixed signs up to 2^64, num and den of unequal degree on either side
+        try:
+            f = RationalMap(P(*maps[0]), P(*maps[1]))
+            g = RationalMap(P(*maps[2]), P(*maps[3]))
+        except DomainError:
+            assume(False)
+        assert compose(f, g) == compose_poly_mul(f, g)
+
+    def test_degree_1024_iterate_matches_poly_mul_route(self):
+        phi = duplication_map(EllipticCurve(4, 2, 0))
+        out = iterate(phi, 4)
+        step = compose(phi, out)
+        assert step.degree == 1024
+        assert step == compose_poly_mul(phi, out)
 
 
 def _random_map(rng, max_deg=2):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lattes_sft import (
     DomainError,
@@ -14,8 +14,8 @@ from lattes_sft import (
     companion_matrix,
 )
 from lattes_sft import exactnum
-from lattes_sft.exactnum import _COPRIMALITY_PRIMES, _provably_coprime
-from oracles import poly_divmod_fraction, poly_mul_schoolbook
+from lattes_sft.exactnum import _COPRIMALITY_PRIMES, _gfp_gcd_degree, _provably_coprime
+from reference import gfp_gcd_degree_euclid, poly_divmod_fraction, poly_mul_schoolbook
 
 SQF = [2, 3, 5, 6, 7, 10, 11, 13]
 
@@ -240,6 +240,8 @@ def test_squarefree_part_of_squarefree_divides_nothing(monkeypatch):
 
 
 def test_certificate_primes_fit_one_digit():
+    # p < 2^30 keeps a 128-bit lane of the mod-p Euclid below 2^64 between
+    # two Barrett reductions
     import sympy
 
     for p in _COPRIMALITY_PRIMES:
@@ -354,3 +356,59 @@ def test_squarefree_part_against_sympy():
         # same roots, no multiplicity: radical of p equals got
         rad = sympy.Poly(sympy.prod([f for f, _ in expected.factor_list()[1]]), x).monic()
         assert got_expr.monic() == rad
+
+
+def test_constant_gcd_runs_no_euclid(monkeypatch):
+    # a nonzero constant is a unit, so the gcd of the worked zeta function
+    # 1/(1 - 2t^2) is 1 with no mod-p certificate and no PRS
+    from lattes_sft.sft import ZetaRational
+
+    def no_euclid(*args):
+        raise AssertionError("ran a Euclid for a constant gcd")
+
+    monkeypatch.setattr(exactnum, "_gfp_gcd_degree", no_euclid)
+    monkeypatch.setattr(exactnum, "_prs_gcd", no_euclid)
+    assert str(ZetaRational(Poly.one(), P(1, 0, -2))) == "1/(1-2t^2)"
+    assert P(3).gcd(P(1, 2, 3)) == P(1, 2, 3).gcd(P(Fraction(-1, 2))) == Poly.one()
+
+
+# The lane Euclid against the Euclid on lists of residues: the certificate
+# primes, and small primes at which coefficients often vanish mod p.
+_PRIMES = st.sampled_from(_COPRIMALITY_PRIMES + (2, 3, 65537))
+_WIDE = st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=40)
+
+
+@settings(max_examples=300)
+@given(a=_WIDE, b=_WIDE, p=_PRIMES)
+def test_lane_gcd_matches_euclid_on_wide_coefficients(a, b, p):
+    assert _gfp_gcd_degree(a, b, p) == gfp_gcd_degree_euclid(a, b, p)
+
+
+@settings(max_examples=300)
+@given(
+    a=_WIDE,
+    b=_WIDE,
+    g=st.lists(st.integers(-9, 9), min_size=2, max_size=8),
+    p=_PRIMES,
+    multiple=st.sampled_from(("none", "all", "leading")),
+)
+def test_lane_gcd_matches_euclid_on_shared_factors(a, b, g, p, multiple):
+    # a shared factor g; then all of a, or only its leading coefficient,
+    # made a multiple of p
+    a, b = poly_mul_schoolbook(a, g), poly_mul_schoolbook(b, g)
+    if multiple == "all":
+        a = [c * p for c in a]
+    elif multiple == "leading":
+        a[-1] = (a[-1] or 1) * p
+    assert _gfp_gcd_degree(a, b, p) == gfp_gcd_degree_euclid(a, b, p)
+    assert _gfp_gcd_degree(b, a, p) == gfp_gcd_degree_euclid(b, a, p)
+
+
+@settings(max_examples=10)
+@given(n=st.integers(300, 400), k=st.integers(1, 400), p=_PRIMES, derivative=st.booleans())
+def test_lane_gcd_matches_euclid_on_largest_residues(n, k, p, derivative):
+    # every residue p - 1, the largest a lane starts from, at degree >= 300:
+    # the longest runs of quotient steps between two reductions
+    a = [p - 1] * (n + 1)
+    b = [i * c for i, c in enumerate(a)][1:] if derivative else [p - 1] * (k + 1)
+    assert _gfp_gcd_degree(a, b, p) == gfp_gcd_degree_euclid(a, b, p)

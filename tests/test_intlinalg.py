@@ -5,13 +5,14 @@ import time
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lattes_sft import BudgetExceededError, intlinalg
 from lattes_sft.intlinalg import (
     add_scalar,
     charpoly,
     column_echelon,
+    compose_pair,
     identity,
     kernel_basis,
     lattice_points_in_box,
@@ -26,7 +27,7 @@ from lattes_sft.intlinalg import (
     sylvester_solutions,
     xgcd,
 )
-from oracles import (
+from reference import (
     column_echelon_bezout, poly_mul_schoolbook, signed_key, smith_normal_form_transforms,
 )
 
@@ -606,6 +607,37 @@ def test_poly_mul_one_term_operand_is_shift_and_scale(term, other, term_first):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intlinalg, "_kronecker_pack", no_pack)
         assert poly_mul(a, b) == poly_mul_schoolbook(a, b)
+
+
+def _compose_pair_schoolbook(a, b, r, s):
+    m = max(len(a), len(b)) - 1
+    num = [0] * (m * (max(len(r), len(s)) - 1) + 1)
+    den = list(num)
+    for i in range(m + 1):
+        term = [1]
+        for v in [r] * i + [s] * (m - i):
+            term = poly_mul_schoolbook(term, v)
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        for j, c in enumerate(term):
+            num[j] += x * c
+            den[j] += y * c
+    return num, den
+
+
+_PAIR = st.lists(st.integers(-(2**64), 2**64), min_size=1, max_size=5)
+
+
+@settings(max_examples=200)
+@given(_PAIR, _PAIR, _PAIR, _PAIR)
+# a sum at its bound |a|_1 max(|r|_1, |s|_1)^m, on either side of a byte
+@example([1] * 127, [0], [1], [1])
+@example([-1] * 128, [0], [1], [1])
+@example([2**64] * 4, [-(2**64)], [2**64], [2**64])
+@example([0, 0, 1], [1], [0, 1], [1, 0, 0, 0])
+def test_compose_pair_matches_schoolbook(a, b, r, s):
+    assume(max(len(a), len(b)) >= 2 and any(a + b))
+    assert compose_pair(a, b, r, s) == _compose_pair_schoolbook(a, b, r, s)
 
 
 def test_poly_mul_long_factors():

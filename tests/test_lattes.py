@@ -13,7 +13,7 @@ from lattes_sft import (
     RationalMap,
     duplication_map,
 )
-from oracles import double_point, lift_y, map_mp, poly_mp, random_nonsingular_curve
+from reference import double_point, lift_y, map_mp, poly_mp, random_nonsingular_curve
 
 
 def P(*coeffs):

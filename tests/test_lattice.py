@@ -20,7 +20,7 @@ from lattes_sft import (
 )
 from lattes_sft.cfrac import square_part
 from lattes_sft.intlinalg import column_echelon
-from oracles import hnf_oracle, random_unimodular, scale_lattice_fraction
+from reference import hnf_oracle, random_unimodular, scale_lattice_fraction
 
 SQF = [2, 3, 5, 7, 10, 13]
 SQF_60 = [d for d in range(2, 61) if square_part(d)[0] == 1]

@@ -3,7 +3,7 @@ integer helpers in intlinalg, then the exact arithmetic and continued
 fractions built on them, with no import cycle; outside the package they
 import only the standard library; every exported name resolves; and every
 function the benchmark's traced run wraps is where its span recorder
-looks for it."""
+looks for it; and no test module shadows a benchmark module."""
 
 import ast
 import importlib.util
@@ -132,3 +132,12 @@ def test_perfbench_span_targets_resolve(monkeypatch):
         else:
             target = vars(mod).get(attr)
         assert callable(target), f"span target {mod_name}.{attr} does not resolve"
+
+
+def test_no_test_module_shares_a_name_with_a_perfbench_module():
+    # pytest imports tests/*.py and perfbench/*.py as top-level modules, so in
+    # one run over both a shared name resolves to whichever loaded first
+    def names(folder: str) -> set[str]:
+        return {path.stem for path in (ROOT / folder).glob("*.py")}
+
+    assert not names("tests") & names("perfbench")

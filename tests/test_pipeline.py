@@ -32,7 +32,7 @@ from lattes_sft import (
 )
 from lattes_sft import cli, dynsys, pipeline
 from lattes_sft.lattice import PseudoLattice
-from oracles import expand_seen, period_matrix_fold
+from reference import expand_seen, period_matrix_fold
 
 SQRT2 = QuadElem(0, 1, 2)
 CURVE = EllipticCurve(4, 2, 0, cm_D=2)

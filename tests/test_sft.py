@@ -24,7 +24,7 @@ from lattes_sft import (
 )
 from lattes_sft import intlinalg, sft
 from lattes_sft.intlinalg import charpoly, identity, mat_mul
-from oracles import (
+from reference import (
     gl2z_similar_listing, random_unimodular, shift_equivalent_scan, shift_equivalent_unfiltered,
 )
 
