@@ -96,9 +96,10 @@ def _gfp_gcd_degree(a: list[int], b: list[int], p: int) -> int:
     A polynomial is one integer whose 128-bit lanes hold its coefficients,
     lowest degree first, as non-negative representatives mod p, so each
     Euclid step is a few big-integer operations, not a loop over the
-    coefficients.  A quotient step adds c B << 128 (da - db), with c in
-    [0, p) chosen so that the top lane becomes 0 mod p, and drops that
-    lane.  One Barrett step, A - p (((A m) >> 64) & low) with
+    coefficients.  Both operands and every remainder keep a top lane that
+    is nonzero mod p.  A quotient step adds c B << 128 (da - db), with c in
+    [1, p) chosen so that the top lane becomes 0 mod p, and drops the top
+    lanes that are 0 mod p.  One Barrett step, A - p (((A m) >> 64) & low) with
     m = floor(2^64 / p) and low the low 64 bits of every lane, brings
     every lane of A below 2p at once; it runs after every 6 quotient steps
     and whenever a remainder becomes the divisor.  The lanes of a divisor
@@ -120,16 +121,12 @@ def _gfp_gcd_degree(a: list[int], b: list[int], p: int) -> int:
         steps = 0
         while da >= db:
             shift = 128 * da
-            c = (A >> shift) * neg_inv % p
-            if c:
-                A += (c * B) << (shift - 128 * db)
-                steps += 1
-                if steps == 6:
-                    A -= p * (((A * m) >> 64) & low)
-                    steps = 0
-            A -= (A >> shift) << shift
-            da -= 1
-        A, da = _drop_zero_lanes(A, da, p)
+            A += ((A >> shift) * neg_inv % p * B) << (shift - 128 * db)
+            A, da = _drop_zero_lanes(A, da, p)
+            steps += 1
+            if steps == 6:
+                A -= p * (((A * m) >> 64) & low)
+                steps = 0
         A -= p * (((A * m) >> 64) & low)
         A, B, da, db = B, A, db, da
     return da
