@@ -165,6 +165,19 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
     return _kronecker_unpack(product, len(a) + len(b) - 1, width)
 
 
+def _monomials(R: int, S: int, m: int) -> list[int]:
+    """[R^i S^(m-i) for i = 0..m], for m >= 1.  Each is one product of a
+    monomial of degree m // 2 and one of degree m - m // 2, split as evenly
+    as i allows, so the pure powers come by repeated squaring and, for
+    even m, every even i is a square."""
+    if m == 1:
+        return [S, R]
+    h = m // 2
+    lo = _monomials(R, S, h)
+    hi = lo if 2 * h == m else _monomials(R, S, m - h)
+    return [lo[min(i // 2, h)] * hi[i - min(i // 2, h)] for i in range(m + 1)]
+
+
 def compose_pair(
     a: list[int], b: list[int], r: list[int], s: list[int]
 ) -> tuple[list[int], list[int]]:
@@ -180,9 +193,10 @@ def compose_pair(
     absolute value (|.|_1 the sum of the absolute coefficients), so one of
     a sum is at most max(|a|_1, |b|_1) max(|r|_1, |s|_1)^m; that bound,
     which also holds every coefficient of r and s, is below
-    2^(8*width-1).  The powers of the packed r and s are built by repeated
-    squaring, each sum takes one product r^i s^(m-i) per i and a scalar
-    multiple of it, and each sum is unpacked once.  Only the final
+    2^(8*width-1).  Each packed r^i s^(m-i) is one product of two
+    monomials of degree about m/2 (``_monomials``; at m = 4 that is eight
+    products, five of them squares), each sum is a scalar combination of
+    them, and each sum is unpacked once.  Only the final
     coefficients must fit the width: a packed integer is the polynomial's
     value at 2^(8*width), and a product of values is the value of the
     product whatever the size of its coefficients."""
@@ -191,18 +205,11 @@ def compose_pair(
         sum(map(abs, r)), sum(map(abs, s))
     ) ** m
     width = (bound.bit_length() + 8) // 8
-    rp = [1, _kronecker_pack(r, width)]
-    sp = [1, _kronecker_pack(s, width)]
-    for i in range(2, m + 1):
-        # r^i = r^(i//2) r^(i - i//2): a square when i is even
-        rp.append(rp[i // 2] * rp[i - i // 2])
-        sp.append(sp[i // 2] * sp[i - i // 2])
+    terms = _monomials(_kronecker_pack(r, width), _kronecker_pack(s, width), m)
     num = den = 0
-    for i, (x, y) in enumerate(zip_longest(a, b, fillvalue=0)):
-        if x or y:
-            term = rp[i] * sp[m - i]
-            num += x * term
-            den += y * term
+    for x, y, term in zip_longest(a, b, terms, fillvalue=0):
+        num += x * term
+        den += y * term
     n = m * (max(len(r), len(s)) - 1) + 1
     return _kronecker_unpack(num, n, width), _kronecker_unpack(den, n, width)
 

@@ -632,7 +632,8 @@ _PAIR = st.lists(st.integers(-(2**64), 2**64), min_size=1, max_size=5)
 @given(_PAIR, _PAIR, _PAIR, _PAIR)
 # a sum at its bound |a|_1 max(|r|_1, |s|_1)^m, on either side of a byte
 @example([1] * 127, [0], [1], [1])
-@example([-1] * 128, [0], [1], [1])
+@example([-1] * 127, [0], [1], [1])
+@example([1] * 128, [0], [1], [1])
 @example([2**64] * 4, [-(2**64)], [2**64], [2**64])
 @example([0, 0, 1], [1], [0, 1], [1, 0, 0, 0])
 def test_compose_pair_matches_schoolbook(a, b, r, s):
