@@ -69,7 +69,7 @@ from .lattes import RationalMap
 
 # Largest degree of an iterate that ``iterates`` builds: on a 2-core
 # container, with one packed integer per sum of a composition, the doubling
-# map's degree-4^5 iterate takes 0.3-0.6 s, its degree-4^6 iterate 32-34 s,
+# map's degree-4^5 iterate takes 0.3-0.6 s, its degree-4^6 iterate 25-35 s,
 # nearly all of it in the big-integer products of the last composition.
 ITERATE_DEGREE_BUDGET = 4**5
 

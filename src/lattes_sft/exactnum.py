@@ -99,8 +99,8 @@ def _gfp_gcd_degree(a: list[int], b: list[int], p: int) -> int:
     coefficients.  Both operands and every remainder keep a top lane that
     is nonzero mod p.  A quotient step adds c B << 128 (da - db), with c in
     [1, p) chosen so that the top lane becomes 0 mod p, and drops the top
-    lanes that are 0 mod p.  One Barrett step, A - p (((A m) >> 64) & low) with
-    m = floor(2^64 / p) and low the low 64 bits of every lane, brings
+    lanes that are 0 mod p.  One Barrett step, A - p (((A m) >> 64) & low)
+    with m = floor(2^64 / p) and low the low 64 bits of every lane, brings
     every lane of A below 2p at once; it runs after every 6 quotient steps
     and whenever a remainder becomes the divisor.  The lanes of a divisor
     are then below 2p, so a step adds less than 2 p^2 to a lane, and as

@@ -358,23 +358,21 @@ class TestSignedValues:
     # a value that starts with '-' and a digit reads the same after a space
     # as after '='; argparse alone takes it for an option and exits 2
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, err",
         (
-            (["compare", "--curve", "-3,-32,-64", "--D", "7", "--eps", "1+1*sqrt(7)", "-n", "2"], 0),
-            (["periodic", "--curve", "-3,-32,-64", "-n", "1"], 0),
-            (["periodic", "--map", "-1,0,1 / 0,1", "-n", "1"], 0),
-            # the companion matrix of -1+sqrt(2) has the entry -2
-            (["functor", "--D", "2", "--eps", "-1+1*sqrt(2)"], 1),
+            (["compare", "--curve", "-3,-32,-64", "--D", "7", "--eps", "1+1*sqrt(7)", "-n", "2"], 0, ""),
+            (["periodic", "--curve", "-3,-32,-64", "-n", "1"], 0, ""),
+            (["periodic", "--map", "-1,0,1 / 0,1", "-n", "1"], 0, ""),
+            (["functor", "--D", "2", "--eps", "-1+1*sqrt(2)"], 1,
+             "error: matrix 0,1;1,-2 has negative entries and defines no edge shift\n"),
         ),
     )
-    def test_space_and_equals_forms_agree(self, capsys, argv, code):
+    def test_space_and_equals_forms_agree(self, capsys, argv, code, err):
         i = next(i for i, tok in enumerate(argv) if tok[:1] == "-" and tok[1:2].isdigit())
         joined = argv[: i - 1] + [argv[i - 1] + "=" + argv[i]] + argv[i + 1 :]
         spaced = run(capsys, ["--output", "json", *argv])
         assert spaced == run(capsys, ["--output", "json", *joined])
-        assert spaced[0] == code
-        assert spaced[2] == ("" if code == 0 else
-                             "error: matrix 0,1;1,-2 has negative entries and defines no edge shift\n")
+        assert (spaced[0], spaced[2]) == (code, err)
 
     def test_an_option_is_not_taken_for_a_value(self, capsys):
         rc, _, err = run(capsys, ["periodic", "--curve", "-n", "1"])
