@@ -21,7 +21,7 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 
-from .errors import PRECISION_BUDGET, DomainError, ParseError
+from .errors import PRECISION_BUDGET, PRECISION_FLOOR, DomainError, ParseError
 from .intlinalg import IntMatrix2, matrix_text
 
 EXIT_OK = 0
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=128,
-        help=f"root-location precision of 'periodic' in bits (64 to {PRECISION_BUDGET})",
+        help=f"root-location precision of 'periodic' in bits ({PRECISION_FLOOR} to {PRECISION_BUDGET})",
     )
     parser.add_argument(
         "--entry-bound", type=int, default=10, help="entry bound for searches"
@@ -316,19 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Options whose value can start with '-' and a digit, as a curve, a field
-# element or a map with a negative first coefficient does.
-_SIGNED_VALUE_OPTIONS = ("--curve", "--eps", "--map")
-
-
 def _join_signed_values(argv: list[str]) -> list[str]:
-    """argv with each of _SIGNED_VALUE_OPTIONS joined by '=' to a next
-    token that starts with '-' and a digit: argparse reads such a token as
-    an option unless it is a plain number, so ``--curve -3,-32,-64`` would
-    exit 2 with 'expected one argument'."""
+    """argv with each long option that has no '=' joined by '=' to a next
+    token that starts with '-' and a digit, which argparse reads as an
+    option unless it is a plain number (``--curve -3,-32,-64`` would exit
+    2); argparse then resolves the option name, unique prefixes included."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _SIGNED_VALUE_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+        prev = out[-1] if out else ""
+        long_option = prev.startswith("--") and prev != "--" and "=" not in prev
+        if long_option and tok[:1] == "-" and tok[1:2].isdigit():
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -342,8 +339,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    if args.precision < 64:
-        print("error: precision must be at least 64 bits", file=sys.stderr)
+    if args.precision < PRECISION_FLOOR:
+        print(f"error: precision must be at least {PRECISION_FLOOR} bits", file=sys.stderr)
         return EXIT_USAGE
     if args.entry_bound < 1 or args.lag_bound < 1:
         print("error: search bounds must be >= 1", file=sys.stderr)

@@ -61,7 +61,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
 
-from .errors import PRECISION_BUDGET, BudgetExceededError, DomainError
+from .errors import PRECISION_BUDGET, PRECISION_FLOOR, BudgetExceededError, DomainError
 from .exactnum import Poly
 from .intlinalg import IntMatrix2, compose_pair
 from .lattes import RationalMap
@@ -202,6 +202,10 @@ def _initial_points(ints, deg):
 
 
 def _check_precision(precision: int) -> None:
+    if precision < PRECISION_FLOOR:
+        raise DomainError(
+            f"precision of {precision} bits is below PRECISION_FLOOR = {PRECISION_FLOOR}"
+        )
     if precision > PRECISION_BUDGET:
         raise BudgetExceededError(
             f"precision of {precision} bits exceeds PRECISION_BUDGET = {PRECISION_BUDGET}"
@@ -498,7 +502,8 @@ def aberth_roots(p: Poly, precision: int = 128, jet=None):
     exactly 0 (the zero rule).  A run that does not converge warns and
     returns its last points.  The roots come back as (real, imaginary)
     ``Decimal`` pairs, sorted.
-    Raises BudgetExceededError before any work when precision exceeds
+    Raises DomainError before any work when precision is below
+    PRECISION_FLOOR, and BudgetExceededError when it exceeds
     PRECISION_BUDGET.
 
     Both phases take the Newton correction from one of two evaluators.
@@ -567,7 +572,7 @@ def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
         raise DomainError("map degree must be >= 2")
     phin = iterate(phi, n)
     P, Q = phin.num, phin.den
-    F = P - Poly.x() * Q
+    F = P - Poly._from_ints((0, *Q.ints), Q.den)
     infinity_fixed = P.degree > Q.degree
     # The multiplicity of infinity is the order at w = 0 of
     # Q~(w) - w P~(w), with P~, Q~ the reversals of P, Q to degree deg phi^n;
@@ -595,8 +600,8 @@ def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
 
 def periodic_points(phi: RationalMap, n: int, precision: int = 128) -> PeriodicReport:
     """Solutions of phi^n(x) = x with exact counts and float locations.
-    Before the exact work it checks PRECISION_BUDGET, then the
-    ITERATE_DEGREE_BUDGET that ``iterate`` applies, then
+    Before the exact work it checks PRECISION_FLOOR and PRECISION_BUDGET,
+    then the ITERATE_DEGREE_BUDGET that ``iterate`` applies, then
     ROOT_DEGREE_BUDGET.
 
     The roots of the square-free part of F = P_n - x Q_n are located with

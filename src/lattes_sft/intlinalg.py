@@ -144,16 +144,10 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
     absolute value, so the digits read back balanced are exact.  Packing
     and unpacking go through bytes and take linear time; shifting or
     masking the product digit by digit, or going through ``str``, is
-    quadratic.  A factor with a single nonzero coefficient is a shift and
-    a scale, and packs nothing.  The result has len(a) + len(b) - 1
-    entries, or none when a factor is empty."""
+    quadratic.  The result has len(a) + len(b) - 1 entries, or none when a
+    factor is empty."""
     if not a or not b:
         return []
-    for x, y in ((a, b), (b, a)):
-        if len(x) - x.count(0) == 1:
-            i = next(i for i, c in enumerate(x) if c)
-            c = x[i]
-            return [0] * i + [c * v for v in y] + [0] * (len(x) - 1 - i)
     bits = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()

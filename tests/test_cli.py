@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -293,6 +294,16 @@ class TestPeriodic:
         rc, _, _ = run(capsys, ["periodic", "-n", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "option, err",
+        (
+            (["--curve", "1/0,2,3"], "error: bad curve text '1/0,2,3'\n"),
+            (["--map", "x / 1"], "error: bad polynomial text 'x'\n"),
+        ),
+    )
+    def test_bad_text_exits_2(self, capsys, option, err):
+        assert run(capsys, ["periodic", *option, "-n", "1"]) == (2, "", err)
+
     def test_degree_budget_exits_1(self, capsys):
         # the iterate would have degree 4^12; it is refused before composing
         start = time.perf_counter()
@@ -365,6 +376,13 @@ class TestSignedValues:
             (["periodic", "--map", "-1,0,1 / 0,1", "-n", "1"], 0, ""),
             (["functor", "--D", "2", "--eps", "-1+1*sqrt(2)"], 1,
              "error: matrix 0,1;1,-2 has negative entries and defines no edge shift\n"),
+            # any option's value, and a unique prefix of any option's name
+            (["periodic", "--cur", "-3,-32,-64", "-n", "1"], 0, ""),
+            (["functor", "--D", "2", "--e", "-1+1*sqrt(2)"], 1,
+             "error: matrix 0,1;1,-2 has negative entries and defines no edge shift\n"),
+            (["zeta", "--matrix", "-1,0;0,1"], 1, "error: matrix entries must be non-negative\n"),
+            (["shift-equiv", "--A", "-1,0;0,1", "--B", "1,0;0,1"], 1,
+             "error: matrix entries must be non-negative\n"),
         ),
     )
     def test_space_and_equals_forms_agree(self, capsys, argv, code, err):
@@ -378,6 +396,80 @@ class TestSignedValues:
         rc, _, err = run(capsys, ["periodic", "--curve", "-n", "1"])
         assert rc == 2
         assert "argument --curve: expected one argument" in err
+
+    def test_help_takes_no_signed_value(self, capsys):
+        # --help takes no value, so a signed token after it is refused
+        rc, out, err = run(capsys, ["--help", "-3"])
+        assert (rc, out) == (2, "")
+        assert "argument -h/--help: ignored explicit argument '-3'" in err
+
+
+# Arguments that satisfy each subcommand's required options, so that a
+# value under test reaches the command; the option under test comes after
+# them and, as the last occurrence, wins.
+_SUBCOMMAND_ARGS = {
+    "functor": ["--D", "2", "--eps", "0+1*sqrt(2)"],
+    "zeta": ["--matrix", "1,1;1,0"],
+    "periodic": ["--curve", "4,2,0", "-n", "1"],
+    "shift-equiv": ["--A", "1,1;1,0", "--B", "1,1;1,0"],
+    "cfrac": ["--surd", "(1+sqrt(7))/2"],
+    "compare": ["--curve", "4,2,0", "--D", "2", "--eps", "0+1*sqrt(2)", "-n", "1"],
+    "verify": [],
+}
+
+# A value that starts with '-' and a digit in the text form of each
+# option's kind of value; every other option gets "-1".
+_SIGNED_SAMPLES = {
+    "--curve": "-3,-32,-64",
+    "--eps": "-1+1*sqrt(2)",
+    "--map": "-1,0,1 / 0,1",
+    "--matrix": "-1,0;0,1",
+    "--A": "-1,0;0,1",
+    "--B": "-1,0;0,1",
+}
+
+
+def _value_options():
+    """(prefix argv, suffix argv, option, unique proper prefix or None) for
+    every long option that takes a value, in the main parser and in each
+    subparser of ``build_parser()``; the option goes between the two."""
+    parser = cli.build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    places = [([], ["verify"], parser)] + [
+        ([name, *_SUBCOMMAND_ARGS[name]], [], sub) for name, sub in subparsers.choices.items()
+    ]
+    for before, after, p in places:
+        names = [o for o in p._option_string_actions if o.startswith("--")]
+        for action in p._actions:
+            if action.nargs == 0:
+                continue
+            for opt in action.option_strings:
+                if not opt.startswith("--"):
+                    continue
+                prefix = next(
+                    (opt[:k] for k in range(3, len(opt))
+                     if [n for n in names if n.startswith(opt[:k])] == [opt]),
+                    None,
+                )
+                yield before, after, opt, prefix
+
+
+def test_every_value_option_reads_a_signed_value_in_each_form(capsys):
+    # --D, --A and --B have no proper prefix; every other option is also
+    # given as its shortest unique prefix
+    walked = set()
+    for before, after, opt, prefix in _value_options():
+        walked.add(opt)
+        value = _SIGNED_SAMPLES.get(opt, "-1")
+        spaced = run(capsys, [*before, opt, value, *after])
+        assert "expected one argument" not in spaced[2], (opt, spaced)
+        assert run(capsys, [*before, f"{opt}={value}", *after]) == spaced, opt
+        if prefix is not None:
+            assert run(capsys, [*before, prefix, value, *after]) == spaced, (opt, prefix)
+    assert walked == {
+        "--output", "--precision", "--entry-bound", "--lag-bound", "--D", "--eps",
+        "--curve", "--matrix", "--map", "--A", "--B", "--surd",
+    }
 
 
 class TestConfig:
@@ -566,3 +658,8 @@ def test_precision_help_states_the_budget():
 
     help_text = " ".join(cli.build_parser().format_help().split())
     assert f"(64 to {dynsys.PRECISION_BUDGET})" in help_text
+
+
+def test_a_value_with_no_json_form_is_refused():
+    with pytest.raises(TypeError, match="object has no JSON form"):
+        cli.to_json(object())

@@ -259,6 +259,16 @@ class TestPrecisionBudget:
         with pytest.raises(BudgetExceededError, match="PRECISION_BUDGET = 4096"):
             periodic_points(phi, 5, precision=5000)
 
+    def test_below_floor_refused(self):
+        # at 0 bits the zero rule read both fixed points 0 and 1 of z^2 as 0,
+        # and at -100 bits decimal refused the context
+        assert dynsys.PRECISION_FLOOR == 64
+        with pytest.raises(DomainError, match="below PRECISION_FLOOR = 64"):
+            periodic_points(Z2, 1, precision=0)
+        with pytest.raises(DomainError, match="below PRECISION_FLOOR = 64"):
+            aberth_roots(P(-2, 0, 1), precision=-100)
+        assert periodic_points(Z2, 1, precision=64).finite_points == (0j, 1 + 0j)
+
     def test_at_budget_runs(self):
         phi = duplication_map(EllipticCurve(4, 2, 0))
         rep = periodic_points(phi, 1, precision=dynsys.PRECISION_BUDGET)
@@ -527,6 +537,11 @@ class TestAberth:
             big = mp.mpf(10) ** 400
             assert abs(roots[0].real / big + 1) < mp.mpf(2) ** -110
             assert abs(roots[1].real / big - 1) < mp.mpf(2) ** -110
+
+    def test_coincident_start_points_give_no_float_result(self):
+        # 1 / (z_i - z_j) divides by zero when two points coincide
+        newton = dynsys._horner_float([-2, 0, 1])
+        assert dynsys._float_sweeps(newton, [1 + 0j, 1 + 0j]) is None
 
     @pytest.mark.parametrize("precision", [64, 128, 1024])
     @settings(max_examples=80)

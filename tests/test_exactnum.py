@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +171,10 @@ class TestPolyOps:
         with pytest.raises(DomainError):
             divmod(P(1, 1), Poly())
 
+    def test_zero_has_no_squarefree_part(self):
+        with pytest.raises(DomainError, match="no square-free part"):
+            Poly().squarefree_part()
+
     @given(
         st.lists(st.fractions(max_denominator=2**40), max_size=24),
         st.lists(st.fractions(max_denominator=12), max_size=24),
@@ -280,6 +284,21 @@ def test_root_shared_modulo_the_certificate_prime_falls_back(monkeypatch):
     assert not _provably_coprime([p0, 1], [0, 1])
     assert P(p0, 1).gcd(P(0, 1)) == Poly.one()
     assert len(calls) == 1
+
+
+def test_no_certificate_prime_left_falls_back(monkeypatch):
+    # every certificate prime divides the leading coefficient M of
+    # (x - 1)(M x + 1), so no certificate is tried and the PRS decides
+    M = prod(_COPRIMALITY_PRIMES)
+
+    def no_certificate(a, b, p):
+        raise AssertionError("took a certificate modulo a prime dividing a leading coefficient")
+
+    monkeypatch.setattr(exactnum, "_gfp_gcd_degree", no_certificate)
+    a = P(-1, 1) * P(1, M)
+    assert not _provably_coprime(list(a.ints), [2, 1])
+    assert a.gcd(P(2, 1)) == Poly.one()
+    assert a.gcd(P(-1, 1) * P(2, 1)) == P(-1, 1)
 
 
 def test_squarefree_part_of_repeated_factors():

@@ -76,6 +76,8 @@ class TestFunctor:
     def test_curve_needs_annotation(self):
         with pytest.raises(DomainError, match="CM"):
             apply_functor(EllipticCurve(4, 2, 0), SQRT2)
+        with pytest.raises(DomainError, match="no CM annotation"):
+            comparison_report(EllipticCurve(4, 2, 0), SQRT2, 1)
 
     @pytest.mark.parametrize("D", [1, 0, -4])
     def test_D_at_most_1_rejected(self, D):

@@ -109,6 +109,8 @@ class TestZetaSft:
         assert z.num == Poly.one() and z.den == Poly((1, 1))
         with pytest.raises(DomainError):
             ZetaRational(Poly.one(), Poly((0, 1)))
+        with pytest.raises(DomainError, match="zero denominator"):
+            ZetaRational(Poly.one(), Poly())
 
     def test_zeta_rational_cancels_a_common_factor(self):
         # (1 - t)/(1 - t^2) = 1/(1 + t)
@@ -149,6 +151,12 @@ class TestKInvariants:
             AbelianGroupInvariant(0, (3, 4))  # not a divisibility chain
         with pytest.raises(DomainError):
             AbelianGroupInvariant(0, (1,))
+        with pytest.raises(DomainError, match="rank must be non-negative"):
+            AbelianGroupInvariant(-1, ())
+
+    def test_rows_must_be_square(self):
+        with pytest.raises(DomainError, match="matrix must be square"):
+            k_invariants(((1, 2),))
 
 
 def _mul(X, Y):
@@ -283,6 +291,11 @@ class TestShiftEquivalent:
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
             shift_equivalent(SFTMatrix(((1,),)), A_WORKED)
+
+    @pytest.mark.parametrize("bounds", [(0, 1), (1, 0)])
+    def test_bounds_below_1_rejected(self, bounds):
+        with pytest.raises(DomainError, match="bounds must be >= 1"):
+            shift_equivalent(A_WORKED, B_WORKED, *bounds)
 
     def test_roadmap_example_at_default_bounds(self):
         # the same certificate as at entry bound 2: raising the bound past the
@@ -490,6 +503,10 @@ class TestGl2zSimilar:
             assert res.status == "similar"
             got = res.T
             assert A * got == got * B and abs(got.det()) == 1
+
+    def test_bound_below_1_rejected(self):
+        with pytest.raises(DomainError, match="bound must be >= 1"):
+            gl2z_similar(IntMatrix2(0, 1, 2, 0), IntMatrix2(0, 2, 1, 0), bound=0)
 
     def test_unknown_when_bound_tiny(self):
         # conjugate by a large shear so that every conjugator is out of range
