@@ -88,12 +88,12 @@ class QuadSurd:
         return QuadSurd(self.P + k * self.Q, self.Q, self.D)
 
     def is_positive(self) -> bool:
-        num_pos = self.P >= 0 or self.P * self.P < self.D
-        return num_pos if self.Q > 0 else not num_pos
+        return self.cmp_fraction(0) > 0
 
-    def cmp_fraction(self, r: Fraction) -> int:
-        """Sign of (self - r), computed exactly (never 0: self is irrational)."""
-        t = Fraction(r) * self.Q - self.P  # compare sqrt(D) with t, up to sign(Q)
+    def cmp_fraction(self, r: int | Fraction) -> int:
+        """Sign of (self - r), computed exactly in the type of r (never 0:
+        self is irrational)."""
+        t = r * self.Q - self.P  # compare sqrt(D) with t, up to sign(Q)
         if t < 0:
             s = 1
         else:

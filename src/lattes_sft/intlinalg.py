@@ -20,7 +20,6 @@ least pivot first, into the unique reduced Hermite basis.  Fraction-free
 Gauss-Jordan (``scaled_inverse``) is the determinant test: None for a
 singular matrix, else its absolute determinant and its inverse times
 that, an integer matrix.
-``xgcd`` serves only ``lattice.hnf2``.
 """
 
 from __future__ import annotations
@@ -258,21 +257,6 @@ class IntMatrix2:
 
     def __str__(self) -> str:
         return matrix_text(self.rows())
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def identity(n: int) -> Rows:

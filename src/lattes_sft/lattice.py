@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .cfrac import QuadSurd
 from .errors import DomainError, ParseError
 from .exactnum import QuadElem
-from .intlinalg import IntMatrix2, is_square, square_part, xgcd
+from .intlinalg import IntMatrix2, is_square, square_part
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,13 @@ def hnf2(M: IntMatrix2) -> IntMatrix2:
     """Column Hermite form [[a, b], [0, c]] with a, c > 0 and 0 <= b < a."""
     if M.det() == 0:
         raise DomainError("sublattice matrix must be nonsingular")
-    # a nonsingular M has (c, d) != (0, 0), so g > 0
-    g, x, y = xgcd(M.c, M.d)
-    a = abs((M.d // g) * M.a - (M.c // g) * M.b)
-    return IntMatrix2(a, (x * M.a + y * M.b) % a, 0, g)
+    # a nonsingular M has (M.c, M.d) != (0, 0), so c > 0; any (x, y) with
+    # x M.c + y M.d = c will do: two differ by k (M.d, -M.c)/c, moving b by k a
+    c = gcd(M.c, M.d)
+    x = pow(M.c // c, -1, abs(M.d // c)) if M.d else M.c // c
+    y = (c - x * M.c) // M.d if M.d else 0
+    a = abs(M.det()) // c
+    return IntMatrix2(a, (x * M.a + y * M.b) % a, 0, c)
 
 
 def _affine_surd(t: QuadSurd, add: int, mul: int, div: int) -> QuadSurd:

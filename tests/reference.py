@@ -439,13 +439,29 @@ def gl2z_similar_listing(A, B, bound: int = 10):
     )
 
 
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g, by the
+    extended Euclidean algorithm."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def smith_normal_form_transforms(M):
     """Reference Smith normal form by elimination that tracks its
     transforms: (D, U, V) with D = U*M*V diagonal, U and V unimodular.
 
     Diagonal entries are non-negative and satisfy d1 | d2 | ... .
     """
-    from lattes_sft.intlinalg import identity, xgcd
+    from lattes_sft.intlinalg import identity
 
     m, n = len(M), len(M[0])
     A = [list(r) for r in M]
@@ -541,8 +557,6 @@ def column_echelon_bezout(cols):
     (pivot rows strictly increase, pivots are positive, entries of earlier
     columns at a pivot row are reduced modulo the pivot), by a different
     elimination whose intermediate entries grow far faster."""
-    from lattes_sft.intlinalg import xgcd
-
     if not cols:
         return []
     N = len(cols[0])

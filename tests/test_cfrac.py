@@ -90,6 +90,9 @@ class TestQuadSurd:
         assert s.cmp_fraction(Fraction(1)) == 1
         assert s.cmp_fraction(Fraction(3, 2)) == -1
         assert surd(0, -1, 2).cmp_fraction(Fraction(-2)) == 1
+        # an int r is compared in ints
+        assert [s.cmp_fraction(r) for r in (0, -1, 2)] == [1, 1, -1]
+        assert [surd(-3, 2, 7).cmp_fraction(r) for r in (0, -1, 2)] == [-1, 1, -1]
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -25,10 +25,9 @@ from lattes_sft.intlinalg import (
     solve_right,
     sylvester_basis,
     sylvester_solutions,
-    xgcd,
 )
 from reference import (
-    column_echelon_bezout, poly_mul_schoolbook, signed_key, smith_normal_form_transforms,
+    column_echelon_bezout, poly_mul_schoolbook, signed_key, smith_normal_form_transforms, xgcd,
 )
 
 

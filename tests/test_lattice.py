@@ -163,8 +163,14 @@ class TestHnf2:
     def test_is_column_echelon(self):
         # column_echelon of the columns read bottom row first: (g, b), (0, a)
         rng = random.Random(61)
-        for _ in range(2000):
-            M = IntMatrix2(*(rng.randint(-50, 50) for _ in range(4)))
+        cases = [
+            IntMatrix2(5, 3, -4, 0),  # M.d = 0 with a negative M.c
+            IntMatrix2(5, 3, 0, -4),  # M.c = 0
+            IntMatrix2(7, 2, 6, 3),  # |M.d / gcd| = 1
+            IntMatrix2(10**12 + 39, -(10**12) + 11, 10**12 - 3, 10**12 + 7),
+            IntMatrix2(-(10**12), 999_999_999_989, 6 * 10**11, -(10**12)),
+        ]
+        for M in cases + [IntMatrix2(*(rng.randint(-50, 50) for _ in range(4))) for _ in range(2000)]:
             if M.det() == 0:
                 continue
             (g, b), (_, a) = column_echelon([(M.c, M.a), (M.d, M.b)])
