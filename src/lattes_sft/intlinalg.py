@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
-from operator import add, le, mul, sub
+from operator import add, le, mul
 
 from .errors import BudgetExceededError
 
@@ -423,41 +423,58 @@ def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi) -> Iterat
     coordinate by coordinate, a non-negative entry before the negative one
     of the same size.  On a box with every lo[r] >= 0 that is increasing
     lexicographic order.  An int bound is the bound of every coordinate.
+    A node makes its children one at a time, as the walk reaches them.
     Raises BudgetExceededError on reaching a point past the first
     BOX_POINT_BUDGET."""
     lo = (lo,) * N if isinstance(lo, int) else tuple(lo)
     hi = (hi,) * N if isinstance(hi, int) else tuple(hi)
-    pivots = [next(r for r in range(N) if c[r] != 0) for c in cols] + [N]
+    edges = [0] + [next(r for r in range(N) if c[r] != 0) for c in cols] + [N]
     count = 0
 
     def inside(v, r0: int, r1: int) -> bool:
         part = v[r0:r1]
         return all(map(le, lo[r0:r1], part)) and all(map(le, part, hi[r0:r1]))
 
-    # depth first: the rows of a node's v above pivots[i] are in the box and
-    # fixed below it, and the coefficient of column i sets v[pivots[i]], so
-    # the children of a node, ordered by that entry, keep the order; with
-    # lo[p] >= 0 increasing is signed order, and only lo[p] < 0 sorts
-    stack = [(0, (0,) * N)] if inside((0,) * N, 0, pivots[0]) else []
+    def node(j, v):
+        # depth j, vector v, and the coefficients of column j that keep its
+        # pivot entry in the box, in the order the children are read
+        p, step = edges[j + 1], cols[j][edges[j + 1]]
+        cs = range(-((v[p] - lo[p]) // step), (hi[p] - v[p]) // step + 1)
+        if lo[p] < 0:
+            x = v[p]
+            cs = sorted(cs, key=lambda c: (abs(x + c * step), x + c * step < 0))
+        return j, v, iter(cs)
+
+    zero = (0,) * N
+    if not inside(zero, 0, edges[1]):
+        return
+    if not cols:  # the lattice is {0}
+        if BOX_POINT_BUDGET == 0:
+            raise BudgetExceededError("more than BOX_POINT_BUDGET = 0 box points")
+        yield zero
+        return
+    # depth first: edges[i + 1] is the pivot row p of column i, and the
+    # coefficient of column i sets v[p], so the children of a node, ordered
+    # by that entry, keep the order; with lo[p] >= 0 increasing is signed
+    # order, and only lo[p] < 0 sorts.  A child is tested on the rows after
+    # p up to the next pivot, if any; the rows up to p are in the box.
+    stack = [node(0, zero)]
     while stack:
-        i, v = stack.pop()
-        if i == len(cols):
+        i, u, cs = stack[-1]
+        col, r0, r1 = cols[i], edges[i + 1] + 1, edges[i + 2]
+        for c in cs:
+            v = tuple(map(add, u, map(c.__mul__, col)))
+            if r0 < r1 and not inside(v, r0, r1):
+                continue
+            if i + 1 < len(cols):
+                stack.append(node(i + 1, v))
+                break  # its children are read before the next of u's
             if count == BOX_POINT_BUDGET:
                 raise BudgetExceededError(f"more than BOX_POINT_BUDGET = {BOX_POINT_BUDGET} box points")
             count += 1
             yield v
-            continue
-        p, col = pivots[i], cols[i]
-        cmin = -((v[p] - lo[p]) // col[p])
-        cmax = (hi[p] - v[p]) // col[p]
-        v = tuple(map(add, v, map(cmax.__mul__, col)))
-        top = len(stack)
-        for _ in range(cmin, cmax + 1):  # pushed largest first, so popped smallest first
-            if inside(v, p, pivots[i + 1]):
-                stack.append((i + 1, v))
-            v = tuple(map(sub, v, col))
-        if lo[p] < 0:
-            stack[top:] = sorted(stack[top:], key=lambda u: (abs(u[1][p]), u[1][p] < 0), reverse=True)
+        else:
+            stack.pop()
 
 
 def unflatten(v, n: int) -> Rows:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 import sympy
@@ -479,6 +480,20 @@ def test_box_point_budget(monkeypatch):
     # a stream read only up to its first point never reaches the budget
     monkeypatch.setattr(intlinalg, "BOX_POINT_BUDGET", 1)
     assert next(lattice_points_in_box(basis, 4, 0, 2)) == (0, 0, 0, 0)
+
+
+def test_box_walk_makes_children_only_as_read():
+    # 10^6 + 1 coefficients of the first column fit the box; reading three
+    # points makes three children of the root, not all of them
+    cols = [(1, 0, 0, 0), (0, 0, 1, 0)]
+    tracemalloc.start()
+    try:
+        pts = list(itertools.islice(lattice_points_in_box(cols, 4, 0, 10**6), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pts == [(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 2, 0)]
+    assert peak < 10**6
 
 
 def test_lattice_solutions_match_filtered_sylvester_solutions():
