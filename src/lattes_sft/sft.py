@@ -367,13 +367,17 @@ def shift_equivalent(
     r_points = lattice_points_in_box(r_basis, A.n * A.n, 0, entry_bound)
     # (R, scaled_inverse(R)) of each R read at lag 1
     r_read = []
+    # A^k and det(A)^k, or B^k when det A = 0, are running products: one
+    # product per lag
+    Ak, det_ak, Bk = A.rows, det_a, B.rows
     try:
         for k in range(1, lag_bound + 1):
-            Ak = mat_pow(A.rows, k)
-            if det_a:
-                det_ak = det_a**k
-            else:
-                AkBk = Ak + mat_pow(B.rows, k)
+            if k > 1:
+                Ak = mat_mul(Ak, A.rows)
+                if det_a:
+                    det_ak *= det_a
+                else:
+                    Bk = mat_mul(Bk, B.rows)
             for c in r_points if k == 1 else r_read:
                 work += size
                 if work > SEARCH_BUDGET:
@@ -398,7 +402,7 @@ def shift_equivalent(
                 else:
                     # R S = A^k stacked on S R = B^k
                     f = lambda S: mat_mul(R, S) + mat_mul(S, R)  # noqa: E731
-                    S = next(lattice_solutions(s_basis, A.n, f, AkBk, 0, entry_bound), None)
+                    S = next(lattice_solutions(s_basis, A.n, f, Ak + Bk, 0, entry_bound), None)
                     if S is None:
                         continue
                 cert = SECertificate.build(A, B, R, S, k)

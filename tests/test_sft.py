@@ -322,6 +322,23 @@ class TestShiftEquivalent:
         assert res.status == "unknown"
         assert res.witness == "no certificate with entries <= 10 and lag <= 6"
 
+    def test_each_lag_takes_one_product(self, monkeypatch):
+        # det A = -5 and the only R in the box is 0, so no R reads A^k;
+        # A^k is a running product, not a fresh power at each lag
+        calls = []
+        real = intlinalg.mat_mul
+        for mod in (sft, intlinalg):
+            monkeypatch.setattr(mod, "mat_mul", lambda X, Y: calls.append(1) or real(X, Y))
+        A, B = SFTMatrix.parse("0,1;5,2"), SFTMatrix.parse("1,3;2,1")
+        counts = {}
+        for lags in (1, 2, 40):
+            calls.clear()
+            res = shift_equivalent(A, B, 1, lags)
+            assert res.witness == f"no certificate with entries <= 1 and lag <= {lags}"
+            counts[lags] = len(calls)
+        # past the pre-filters' products, at most one per lag
+        assert counts[2] - counts[1] <= 1 and counts[40] - counts[1] <= 39
+
     def test_singular_candidates_are_never_solved(self, monkeypatch):
         # A and B are not similar over Q, so every R with A R = R B is
         # singular, and as det A != 0 none is solved at any lag
