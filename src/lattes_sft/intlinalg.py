@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from operator import add, le, mul
@@ -439,11 +440,17 @@ def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi) -> Iterat
         # depth j, vector v, and the coefficients of column j that keep its
         # pivot entry in the box, in the order the children are read
         p, step = edges[j + 1], cols[j][edges[j + 1]]
-        cs = range(-((v[p] - lo[p]) // step), (hi[p] - v[p]) // step + 1)
-        if lo[p] < 0:
-            x = v[p]
-            cs = sorted(cs, key=lambda c: (abs(x + c * step), x + c * step < 0))
-        return j, v, iter(cs)
+        x = v[p]
+        first, last = -((x - lo[p]) // step), (hi[p] - x) // step
+        if lo[p] >= 0:
+            return j, v, iter(range(first, last + 1))
+        # the coefficients from c0 on give entries >= 0, read upward, the
+        # ones below it negative entries, read downward: each run is in
+        # signed order, and a lazy merge of the two keeps it
+        c0 = max(first, -(x // step))
+        up = range(c0, last + 1)
+        down = range(min(last, c0 - 1), first - 1, -1)
+        return j, v, merge(up, down, key=lambda c: (abs(x + c * step), x + c * step < 0))
 
     zero = (0,) * N
     if not inside(zero, 0, edges[1]):
@@ -456,8 +463,9 @@ def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi) -> Iterat
     # depth first: edges[i + 1] is the pivot row p of column i, and the
     # coefficient of column i sets v[p], so the children of a node, ordered
     # by that entry, keep the order; with lo[p] >= 0 increasing is signed
-    # order, and only lo[p] < 0 sorts.  A child is tested on the rows after
-    # p up to the next pivot, if any; the rows up to p are in the box.
+    # order, and only lo[p] < 0 merges two runs.  A child is tested on the
+    # rows after p up to the next pivot, if any; the rows up to p are in the
+    # box.
     stack = [node(0, zero)]
     while stack:
         i, u, cs = stack[-1]
