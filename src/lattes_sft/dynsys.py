@@ -41,11 +41,17 @@ bits, holds the digits of the tolerance 2^(10 - precision), and each one
 below a third of the digits of the one above while that is more than 36.
 One rule moves between them: the next sweep runs at the lowest level
 that holds the cube of the last largest step, one level higher (at the
-top, GUARD_STEP bits more) when steps below FLOAT_STEP stop shrinking,
-and at the top after a zero step.  It converges when a sweep at the top
-level has every step below 2^(10 - precision) max(|z|, 2^-precision).  After
-convergence a real or imaginary part within that tolerance is reported as
-exactly 0, so the output does not depend on the path the iteration took.
+top, GUARD_STEP bits more) when a largest step below FLOAT_STEP shrank by
+less than its square, and at the top after a zero step.  It converges
+when a sweep at the top level has every step below 2^(10 - precision)
+max(|z|, 2^-precision).  A decimal sweep takes each point's Aberth sum
+sum 1 / (z_i - z_j) in machine complex numbers, with a bound on its
+rounding error, whenever the error that bound puts into the step is
+below the tolerance or the cube of the relative Newton step; otherwise,
+and for points out of the float range or closer than a float resolves,
+it sums in decimal.  After convergence a real or imaginary part within
+that tolerance is reported as exactly 0, so the output does not depend
+on the path the iteration took.
 ``periodic_points`` refuses a map of degree d at period n before any
 exact work when d^n exceeds ROOT_DEGREE_BUDGET.
 """
@@ -87,14 +93,22 @@ ROOT_DEGREE_BUDGET = 4**3
 # The machine-float sweeps stop once every relative step is below
 # FLOAT_STEP, or when their largest step has not reached a new low for
 # FLOAT_PATIENCE sweeps.  A decimal sweep with every step below FLOAT_STEP
-# whose largest step did not shrink is limited by its working precision; at
-# the top level that adds GUARD_STEP bits (as decimal digits).
+# whose largest step shrank by less than its square is limited by its
+# working precision; at the top level that adds GUARD_STEP bits (as decimal
+# digits).
 MAX_SWEEPS = 200
 FLOAT_STEP = 1e-12
 FLOAT_PATIENCE = 10
 GUARD_STEP = 64
 
-_ZERO, _ONE = Decimal(0), Decimal(1)
+_ZERO, _ONE, _FOUR_10 = Decimal(0), Decimal(1), Decimal(4**10)
+
+# The float Aberth sum (``_float_sum``): the range of moduli of a point
+# whose float copy takes it, its error bound's 2u, and the limit on
+# |z_i|^2 sum 1 / |z_i - z_j|^2 that keeps that bound first order.
+_FLOAT_LO, _FLOAT_HI = 2.0**-500, 2.0**500
+_ULP2 = 2.0**-52
+_FIRST_ORDER = 2.0**84
 
 
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:
@@ -382,6 +396,44 @@ def _float_sweeps(newton, z):
     return z if all(cmath.isfinite(v) for v in z) else None
 
 
+def _float_sum(fz, i):
+    """The Aberth sum s = sum 1 / (z_i - z_j) over j != i in machine complex
+    numbers from the float copies fz of the n points, all of modulus in
+    [2^-500, 2^500], and a bound ds on its error against the same sum over
+    the points themselves; or None when z_i coincides with another copy or
+    is so close to one that the first-order bound does not hold.
+
+    A copy is off by at most u |z_j| (u = 2^-53; at those moduli a
+    subnormal part adds nothing that counts), which moves the term 1 / (z_i
+    - z_j) by u (|z_i| + |z_j|) / |z_i - z_j|^2 to first order; as |z_j| <=
+    |z_i| + |z_i - z_j|, the copies move s by at most u (2 |z_i| q + h) for
+    q = sum 1 / |z_i - z_j|^2 and h = sum 1 / |z_i - z_j|.  The
+    subtraction, the division and the running sum add at most (n + 5) u h.
+    ds = 2^-52 (|z_i| q + (n + 3) h) is no smaller than both together.
+    The first order holds while u (|z_i| + |z_j|) / |z_i - z_j| stays below
+    about 2^-10, which |z_i|^2 q < 2^84 ensures; no term overflows."""
+    zi = fz[i]
+    s, h, q = 0j, 0.0, 0.0
+    try:
+        for v in chain(fz[:i], fz[i + 1 :]):
+            r = 1 / (zi - v)
+            s += r
+            t = abs(r)
+            h += t
+            q += t * t
+    except (ZeroDivisionError, OverflowError):  # abs of a term past the float range
+        return None
+    a = abs(zi)
+    if not a * a * q < _FIRST_ORDER:  # also when q is not finite
+        return None
+    return s, _ULP2 * (a * q + (len(fz) + 3) * h)
+
+
+def _in_range(v) -> bool:
+    """Whether a float copy may enter ``_float_sum``."""
+    return _FLOAT_LO <= abs(v) <= _FLOAT_HI
+
+
 def _aberth_sweep(newton, re, im, floor2, nudge):
     """One Gauss-Seidel Aberth sweep in the current decimal context over
     the points re[i] + i im[i], which are updated in place; newton(zr, zi)
@@ -390,31 +442,67 @@ def _aberth_sweep(newton, re, im, floor2, nudge):
     imaginary) pairs, and each reciprocal is one real division.  Returns
     the largest squared relative step |delta|^2 / max(|z|^2, floor2), and
     whether a point with a zero derivative or a zero Aberth denominator
-    was moved by nudge instead of a step."""
+    was moved by nudge instead of a step.
+
+    The step is delta = w / (1 - w s) with the Newton step w = p / p' and
+    the Aberth sum s = sum 1 / (z_i - z_j), so an error ds in s moves it
+    by about |w|^2 ds.  s is taken in machine complex numbers, from float
+    copies of the points kept in Gauss-Seidel order (``_float_sum``), when
+    the error that puts into the step is below the larger of the
+    tolerance and the cube of the relative Newton step, which the cubic
+    rate leaves anyway: (|w|^2 ds)^2 / z2 < max(tol2, (|w|^2 / z2)^3) with
+    z2 = max(|z|^2, floor2) and tol2 = 4^10 floor2 = 4^(10 - precision).
+    The test runs in Decimal, as its sides underflow a float at high
+    precision.  Otherwise s is summed in the current context
+    (``_decimal_sum``), as it is for every point once a float copy is out
+    of range, and for a point whose copy coincides with another."""
+    fz = [complex(float(x), float(y)) for x, y in zip(re, im)]
+    floats = all(map(_in_range, fz))
+    tol2 = floor2 * _FOUR_10
     worst, nudged = _ZERO, False
     for i, (zr, zi) in enumerate(zip(re, im)):
         pr, pi, dr, di = newton(zr, zi)
         if not (pr or pi):
             continue
-        sr = si = _ZERO
-        for xr, xi in chain(zip(re[:i], im[:i]), zip(re[i + 1 :], im[i + 1 :])):
-            ar, ai = zr - xr, zi - xi
-            m = _ONE / (ar * ar + ai * ai)
-            sr += ar * m
-            si -= ai * m
+        fs = _float_sum(fz, i) if floats and (dr or di) else None
+        if fs is not None:
+            z2 = max(zr * zr + zi * zi, floor2)
+            w2 = (pr * pr + pi * pi) / (dr * dr + di * di)
+            e = w2 * Decimal(fs[1])
+            if e * e >= max(tol2 * z2, w2 * w2 * w2 / (z2 * z2)):
+                fs = None
+        if fs is None:
+            sr, si = _decimal_sum(re, im, i)
+        else:
+            sr, si = Decimal(fs[0].real), Decimal(fs[0].imag)
         # delta = p / (p' - p s), the Newton step w = p / p' over 1 - w s
         er, ei = dr - pr * sr + pi * si, di - pr * si - pi * sr
         if not (dr or di) or not (er or ei):
-            re[i] = zr + nudge
+            re[i] = zr = zr + nudge
             nudged = True
-            continue
-        m = _ONE / (er * er + ei * ei)
-        xr, xi = (pr * er + pi * ei) * m, (pi * er - pr * ei) * m
-        re[i], im[i] = zr, zi = zr - xr, zi - xi
-        step = (xr * xr + xi * xi) / max(zr * zr + zi * zi, floor2)
-        if step > worst:
-            worst = step
+        else:
+            m = _ONE / (er * er + ei * ei)
+            xr, xi = (pr * er + pi * ei) * m, (pi * er - pr * ei) * m
+            re[i], im[i] = zr, zi = zr - xr, zi - xi
+            step = (xr * xr + xi * xi) / max(zr * zr + zi * zi, floor2)
+            if step > worst:
+                worst = step
+        fz[i] = v = complex(float(zr), float(zi))
+        floats = floats and _in_range(v)
     return worst, nudged
+
+
+def _decimal_sum(re, im, i):
+    """The Aberth sum sum 1 / (z_i - z_j) over j != i in the current
+    decimal context, as a (real, imaginary) pair."""
+    zr, zi = re[i], im[i]
+    sr = si = _ZERO
+    for xr, xi in chain(zip(re[:i], im[:i]), zip(re[i + 1 :], im[i + 1 :])):
+        ar, ai = zr - xr, zi - xi
+        m = _ONE / (ar * ar + ai * ai)
+        sr += ar * m
+        si -= ai * m
+    return sr, si
 
 
 def _polish(newton, z, precision: int):
@@ -434,12 +522,17 @@ def _polish(newton, z, precision: int):
     first sweep runs at the lowest level.  As the iteration converges
     cubically, a step of 10^-d sends the next sweep to the lowest level
     that holds 3 d digits; the level never falls.  A sweep with every step
-    below FLOAT_STEP whose largest step did not shrink (the decimal
-    exponent of its square did not fall; steps at the noise floor wander
-    by less) is limited by its precision, as in MPSolve: it moves up one
+    below FLOAT_STEP whose largest step shrank by less than its square
+    (the decimal exponent of the squared step stayed above twice the last
+    one's, which a wander of one in the exponent at the noise floor does
+    not cross) is limited by its precision, as in MPSolve: it moves up one
     level, or at the top adds GUARD_STEP bits, and the next sweep, which
     re-measures the same error, is compared with nothing.  A zero largest
-    step moves to the top level.
+    step moves to the top level.  Each sweep takes its Aberth sums in
+    floats wherever their rounding stays below the tolerance or the cube
+    of the step (see ``_aberth_sweep``), so a sweep whose steps are near
+    the tolerance, the certifying one above all, costs mainly its Newton
+    evaluations.
     Magnitudes are compared squared, so no square root is taken."""
     full = _digits(precision + 32) + 1
     held = [_digits(precision - 10)]
@@ -461,7 +554,7 @@ def _polish(newton, z, precision: int):
                 break
             if not worst:
                 level = top
-            elif worst < stall2 and worst.adjusted() >= last.adjusted():
+            elif worst < stall2 and worst.adjusted() > 2 * last.adjusted():
                 if level == top:
                     held[top] += _digits(GUARD_STEP)
                 else:
@@ -501,7 +594,12 @@ def aberth_roots(p: Poly, precision: int = 128, jet=None):
     real or imaginary part no larger than that tolerance is reported as
     exactly 0 (the zero rule).  A run that does not converge warns and
     returns its last points.  The roots come back as (real, imaginary)
-    ``Decimal`` pairs, sorted.
+    ``Decimal`` pairs, sorted.  The sweeps take an Aberth sum in machine
+    floats where its rounding stays below the tolerance (see
+    ``_aberth_sweep``), so those pairs carry that rounding in digits below
+    the tolerance and differ there from sweeps that sum in decimal alone;
+    rounded to machine floats, as ``periodic_points`` reports them, they
+    agree.
     Raises DomainError before any work when precision is below
     PRECISION_FLOOR, and BudgetExceededError when it exceeds
     PRECISION_BUDGET.

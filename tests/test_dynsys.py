@@ -671,6 +671,137 @@ class TestAberth:
         top = math.ceil((1024 + 32) * math.log10(2)) + 1
         assert digits[0] == digits[1] < digits[2] == top
 
+    @pytest.mark.parametrize("second, stalls", [
+        ("1e-100", True), ("1e-101", True), ("1e-150", True), ("1e-199", True),
+        ("1e-200", False), ("1e-300", False),
+    ])
+    def test_stall_is_shrinking_by_less_than_the_square(self, monkeypatch, second, stalls):
+        # at 1024 bits a largest squared step of 1e-100 at the lower level
+        # sends the next sweep to the top; there, one that shrank by less
+        # than its square (whatever the decimal exponent wanders by) is
+        # limited by its precision and adds GUARD_STEP bits, and one that
+        # shrank by its square or more is not; a zero step then converges
+        steps = iter([decimal.Decimal("1e-100"), decimal.Decimal(second), decimal.Decimal(0)])
+        digits = []
+
+        def fake(newton, re, im, floor2, nudge):
+            digits.append(decimal.getcontext().prec)
+            return next(steps), False
+
+        monkeypatch.setattr(dynsys, "_aberth_sweep", fake)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dynsys._polish(None, [(decimal.Decimal(1), decimal.Decimal(0))], 1024)
+        top = math.ceil((1024 + 32) * math.log10(2)) + 1
+        guard = math.ceil(dynsys.GUARD_STEP * math.log10(2))
+        assert digits == [115, top, top + guard if stalls else top]
+
+
+@pytest.fixture
+def sums(monkeypatch):
+    """For each ``_aberth_sweep`` call, its working digits and the number of
+    Aberth sums it took in Decimal (``_decimal_sum``)."""
+    log = []
+    sweep, decimal_sum = dynsys._aberth_sweep, dynsys._decimal_sum
+
+    def sweep_spy(*args):
+        log.append([decimal.getcontext().prec, 0])
+        return sweep(*args)
+
+    def sum_spy(*args):
+        log[-1][1] += 1
+        return decimal_sum(*args)
+
+    monkeypatch.setattr(dynsys, "_aberth_sweep", sweep_spy)
+    monkeypatch.setattr(dynsys, "_decimal_sum", sum_spy)
+    return log
+
+
+class TestFloatSum:
+    """A decimal sweep takes the Aberth sum of a point in machine floats
+    when the error that puts into its step is below the tolerance or the
+    cube of its relative Newton step, and in Decimal otherwise."""
+
+    def test_points_past_the_float_range_take_the_decimal_sum(self, monkeypatch, sums):
+        # x^2 - 10^800: the float copies of +-10^400 are infinite
+        def no_float_sum(*args):
+            raise AssertionError("float sum of a point out of range")
+
+        monkeypatch.setattr(dynsys, "_float_sum", no_float_sum)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = roots_mpc(aberth_roots(P(-10**800, 0, 1)))
+        # every sweep sums in Decimal (a point whose correction is exactly 0
+        # does not move and takes no sum)
+        assert sums and all(n for _, n in sums)
+        assert [r.imag for r in roots] == [0, 0]
+        with mp.workprec(160):
+            big = mp.mpf(10) ** 400
+            assert abs(roots[0].real / big + 1) < mp.mpf(2) ** -110
+            assert abs(roots[1].real / big - 1) < mp.mpf(2) ** -110
+
+    def test_points_closer_than_a_float_fall_back(self, sums):
+        # (x - 1)(10^20 x - 10^20 - 1): the float copies of 1 and 1 + 10^-20
+        # are the same float, so 1 / (z_i - z_j) has no float value
+        big = 10**20
+        F = Poly._from_ints(poly_mul([-1, 1], [-(big + 1), big]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (a, ai), (b, bi) = aberth_roots(F)
+        assert sums and all(n == 2 for _, n in sums)
+        assert ai == bi == 0
+        tol = decimal.Decimal(2) ** -110
+        assert abs(a - 1) < tol
+        assert abs(b - 1 - decimal.Decimal(10) ** -20) < tol
+
+    def test_corpus_doubling_maps_polish_in_two_float_sum_sweeps(self, sums):
+        # at 128 bits the gate takes every sum in floats, and the polish
+        # still takes two sweeps per call, as the Decimal sums did
+        for curve in ((0, 0, 1), (4, 2, 0), (-3, -32, -64)):
+            for t in (1, -1, 2):
+                a, b, c = curve
+                phi = duplication_map(EllipticCurve(a * t, b * t**2, c * t**3))
+                for n in (1, 2, 3):
+                    sums.clear()
+                    periodic_points(phi, n)
+                    assert sums == [[50, 0], [50, 0]], (curve, t, n)
+
+    @pytest.mark.parametrize("curve", [(4, 2, 0), (-4, -112, 656)])
+    def test_certifying_sweep_takes_float_sums_at_1024_bits(self, sums, curve):
+        # the steps of the first three sweeps are too large for a float sum
+        # to leave them their cube; the certifying sweep's are below it
+        periodic_points(duplication_map(EllipticCurve(*curve)), 3, 1024)
+        assert sums == [[115, 64], [115, 64], [319, 64], [319, 0]]
+
+    def test_float_sum_bounds_its_error(self):
+        # the bound holds against the exact sum over the points themselves,
+        # here Fractions whose float copies are off by up to half an ulp
+        rng = random.Random(7)
+        for _ in range(40):
+            pts = [(Fraction(rng.uniform(-2, 2)) * (1 + Fraction(1, 3 * 2**53)),
+                    Fraction(rng.uniform(-2, 2))) for _ in range(rng.randint(2, 40))]
+            fz = [complex(float(x), float(y)) for x, y in pts]
+            i = rng.randrange(len(pts))
+            s, ds = dynsys._float_sum(fz, i)
+            exact = [Fraction(0), Fraction(0)]
+            for j, (x, y) in enumerate(pts):
+                if j != i:
+                    dx, dy = pts[i][0] - x, pts[i][1] - y
+                    m = dx * dx + dy * dy
+                    exact[0] += dx / m
+                    exact[1] -= dy / m
+            err = abs(complex(float(exact[0] - Fraction(s.real)), float(exact[1] - Fraction(s.imag))))
+            assert err <= ds
+
+    def test_coincident_float_copies_give_no_float_sum(self):
+        fz = [1 + 0j, 2 + 0j, 1 + 0j]
+        assert dynsys._float_sum(fz, 0) is None
+        assert dynsys._float_sum(fz, 1) is not None
+        # closer than the first-order bound allows, but distinct floats
+        assert dynsys._float_sum([1 + 0j, 1 + 2**-50 + 0j], 0) is None
+        # apart only in a subnormal part: the term is infinite
+        assert dynsys._float_sum([1e-150 + 0j, complex(1e-150, 1e-320)], 0) is None
+
 
 def _pair_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
