@@ -101,7 +101,7 @@ FLOAT_STEP = 1e-12
 FLOAT_PATIENCE = 10
 GUARD_STEP = 64
 
-_ZERO, _ONE, _FOUR_10 = Decimal(0), Decimal(1), Decimal(4**10)
+_ZERO, _ONE = Decimal(0), Decimal(1)
 
 # The float Aberth sum (``_float_sum``): the range of moduli of a point
 # whose float copy takes it, its error bound's 2u, and the limit on
@@ -458,7 +458,7 @@ def _aberth_sweep(newton, re, im, floor2, nudge):
     of range, and for a point whose copy coincides with another."""
     fz = [complex(float(x), float(y)) for x, y in zip(re, im)]
     floats = all(map(_in_range, fz))
-    tol2 = floor2 * _FOUR_10
+    tol2 = floor2 * 4**10
     worst, nudged = _ZERO, False
     for i, (zr, zi) in enumerate(zip(re, im)):
         pr, pi, dr, di = newton(zr, zi)
