@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from operator import add, le, mul
@@ -444,13 +443,18 @@ def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi) -> Iterat
         first, last = -((x - lo[p]) // step), (hi[p] - x) // step
         if lo[p] >= 0:
             return j, v, iter(range(first, last + 1))
-        # the coefficients from c0 on give entries >= 0, read upward, the
-        # ones below it negative entries, read downward: each run is in
-        # signed order, and a lazy merge of the two keeps it
-        c0 = max(first, -(x // step))
-        up = range(c0, last + 1)
-        down = range(min(last, c0 - 1), first - 1, -1)
-        return j, v, merge(up, down, key=lambda c: (abs(x + c * step), x + c * step < 0))
+        # the coefficients from c1 on give entries > 0, read upward, the
+        # ones below it entries <= 0, read downward.  Along each run |entry|
+        # grows by step, from (0, step] on the first and [0, step) on the
+        # second, so signed order takes the two runs in turn, starting with
+        # the one whose first |entry| is the smaller (the positive one on a
+        # tie), and is made lazily
+        c1 = max(first, -x // step + 1)
+        up = range(c1, last + 1)
+        down = range(min(last, c1 - 1), first - 1, -1)
+        if 2 * (x + c1 * step) > step:
+            up, down = down, up
+        return j, v, (c for pair in zip_longest(up, down) for c in pair if c is not None)
 
     zero = (0,) * N
     if not inside(zero, 0, edges[1]):
