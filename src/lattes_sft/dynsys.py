@@ -429,6 +429,19 @@ def _float_sum(fz, i):
     return s, _ULP2 * (a * q + (len(fz) + 3) * h)
 
 
+def _decimal_sum(re, im, i):
+    """The Aberth sum sum 1 / (z_i - z_j) over j != i in the current
+    decimal context, as a (real, imaginary) pair."""
+    zr, zi = re[i], im[i]
+    sr = si = _ZERO
+    for xr, xi in chain(zip(re[:i], im[:i]), zip(re[i + 1 :], im[i + 1 :])):
+        ar, ai = zr - xr, zi - xi
+        m = _ONE / (ar * ar + ai * ai)
+        sr += ar * m
+        si -= ai * m
+    return sr, si
+
+
 def _in_range(v) -> bool:
     """Whether a float copy may enter ``_float_sum``."""
     return _FLOAT_LO <= abs(v) <= _FLOAT_HI
@@ -490,19 +503,6 @@ def _aberth_sweep(newton, re, im, floor2, nudge):
         fz[i] = v = complex(float(zr), float(zi))
         floats = floats and _in_range(v)
     return worst, nudged
-
-
-def _decimal_sum(re, im, i):
-    """The Aberth sum sum 1 / (z_i - z_j) over j != i in the current
-    decimal context, as a (real, imaginary) pair."""
-    zr, zi = re[i], im[i]
-    sr = si = _ZERO
-    for xr, xi in chain(zip(re[:i], im[:i]), zip(re[i + 1 :], im[i + 1 :])):
-        ar, ai = zr - xr, zi - xi
-        m = _ONE / (ar * ar + ai * ai)
-        sr += ar * m
-        si -= ai * m
-    return sr, si
 
 
 def _polish(newton, z, precision: int):
