@@ -467,9 +467,9 @@ def lattice_points_in_box(cols: list[tuple[int, ...]], N: int, lo, hi) -> Iterat
     # depth first: edges[i + 1] is the pivot row p of column i, and the
     # coefficient of column i sets v[p], so the children of a node, ordered
     # by that entry, keep the order; with lo[p] >= 0 increasing is signed
-    # order, and only lo[p] < 0 merges two runs.  A child is tested on the
-    # rows after p up to the next pivot, if any; the rows up to p are in the
-    # box.
+    # order, and only lo[p] < 0 interleaves two runs.  A child is tested on
+    # the rows after p up to the next pivot, if any; the rows up to p are in
+    # the box.
     stack = [node(0, zero)]
     while stack:
         i, u, cs = stack[-1]
