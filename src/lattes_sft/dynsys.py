@@ -22,12 +22,14 @@ points and never feeds back into a count.
 
 Root location (``aberth_roots``) runs Aberth's simultaneous iteration in
 two phases from one deterministic start.  Up to MAX_SWEEPS sweeps run in
-machine complex numbers; up to MAX_SWEEPS more polish the result in the
-standard library's ``decimal`` arithmetic (libmpdec) on (real, imaginary)
-pairs, or start over from the same start when a float stopped being
-finite.  Both phases take the Newton correction from one of two
-evaluators.  Horner runs on the integer coefficients (in floats scaled by
-a power of two, and reversed past |z| = 1 so that no power of z
+machine complex numbers, each over the points whose last relative step
+was at least FLOAT_STEP: as in MPSolve, a point below it is frozen, and
+only the Aberth sums of the others read it.  Up to MAX_SWEEPS more polish
+the result in the standard library's ``decimal`` arithmetic (libmpdec) on
+(real, imaginary) pairs, or start over from the same start when a float
+stopped being finite.  Both phases take the Newton correction from one
+of two evaluators.  Horner runs on the integer coefficients (in floats
+scaled by a power of two, and reversed past |z| = 1 so that no power of z
 overflows).  The jet, for F = P_n - x Q_n of an iterate phi^n = P_n/Q_n,
 runs phi's homogeneous pair n times from (z, 1) and carries the
 derivative by the chain rule (Schleicher and Stoll, Newton's method in
@@ -81,17 +83,18 @@ ITERATE_DEGREE_BUDGET = 4**5
 
 # Largest degree phi.degree^n whose periodic points ``periodic_points``
 # locates: on a 2-core container ``periodic --curve 4,2,0 -n 3`` (degree
-# 64) takes 0.3 s as a process, as does the D = 11 model.  At n = 4
+# 64) takes 0.12-0.16 s as a process, as does the D = 11 model.  At n = 4
 # (degree 256) the jet locates the points of the four CM doubling maps,
-# converged, as a process in 1.0-1.1 s on (0,0,1), 3.1-3.3 s on
-# (-3,-32,-64), 7.8-10.2 s on the D = 11 model and 10.7-11.0 s on (4,2,0);
+# converged, as a process in 0.27-0.33 s on (0,0,1), 0.64-0.73 s on
+# (-3,-32,-64), 1.7-1.8 s on the D = 11 model and 1.9-2.2 s on (4,2,0);
 # but a map whose F is not square-free keeps Horner, and (x^4 - 3x^2 +
 # 1)/x^3 at n = 4 runs all MAX_SWEEPS in 95 s in-process and warns.
 ROOT_DEGREE_BUDGET = 4**3
 
 # Root location.  Each of its two phases runs at most MAX_SWEEPS sweeps.
-# The machine-float sweeps stop once every relative step is below
-# FLOAT_STEP, or when their largest step has not reached a new low for
+# A machine-float sweep moves only the points whose last relative step was
+# at least FLOAT_STEP; the sweeps stop once every relative step is below
+# it, or when their largest step has not reached a new low for
 # FLOAT_PATIENCE sweeps.  A decimal sweep with every step below FLOAT_STEP
 # whose largest step shrank by less than its square is limited by its
 # working precision; at the top level that adds GUARD_STEP bits (as decimal
@@ -367,13 +370,23 @@ def _float_sweeps(newton, z):
     """Up to MAX_SWEEPS Aberth sweeps in machine complex numbers from the
     points z, which are updated in place, with the Newton correction
     newton(z) of ``_horner_float`` or ``_jet_float``; returns z, or None
-    when a value stopped being finite."""
+    when a value stopped being finite.
+
+    A point whose relative step falls below FLOAT_STEP is frozen, as in
+    MPSolve (Bini and Fiorentino, Numer. Algorithms 23, 2000): it gets no
+    further Newton evaluation or Aberth sum and does not move again, while
+    the Aberth sums of the points still active read its position.  The
+    sweeps stop when no point is active, that is when every last step is
+    below FLOAT_STEP, or when the largest step over the active points has
+    not reached a new low for FLOAT_PATIENCE sweeps.  The polish certifies
+    every point, so a point frozen early costs decimal sweeps, not digits."""
     deg = len(z)
+    active = range(deg)
     best, stale = math.inf, 0
     try:
         for _ in range(MAX_SWEEPS):
-            worst = 0.0
-            for i in range(deg):
+            worst, moving = 0.0, []
+            for i in active:
                 zi = z[i]
                 w = newton(zi)
                 s = 0j
@@ -382,7 +395,11 @@ def _float_sweeps(newton, z):
                         s += 1 / (zi - z[j])
                 delta = w / (1 - w * s)
                 z[i] = zi = zi - delta
-                worst = max(worst, abs(delta) / max(abs(zi), 1e-300))
+                step = abs(delta) / max(abs(zi), 1e-300)
+                if step >= FLOAT_STEP:
+                    moving.append(i)
+                worst = max(worst, step)
+            active = moving
             if worst < FLOAT_STEP:
                 break
             if worst < best:

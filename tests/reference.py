@@ -4,7 +4,9 @@ Nothing here imports the code paths it checks: continued fractions come from
 high-precision floats, Hermite forms from brute-force lattice point sets, and
 unimodular matrices from explicit elementary products.  The integer
 composition by one ``poly_mul`` per product and the mod-p Euclid on lists
-of residues are the routes the packed kernels replaced.
+of residues are the routes the packed kernels replaced, and the float
+Aberth sweeps that evaluate every point in every sweep are the loop the
+frozen sweeps replaced.
 """
 
 import random
@@ -657,6 +659,45 @@ def roots_mpc(roots, precision: int = 128):
     precision + 32 bits, its working precision."""
     with mp.workprec(precision + 32):
         return [mpc(str(x), str(y)) for x, y in roots]
+
+
+def float_sweeps_unfrozen(newton, z):
+    """``dynsys._float_sweeps`` with no point frozen: every sweep evaluates
+    and moves every point, and the sweeps stop once every step is below
+    FLOAT_STEP or the largest has not reached a new low for FLOAT_PATIENCE
+    sweeps.  Returns z, updated in place, or None when a value stopped
+    being finite."""
+    import cmath
+    import math
+
+    from lattes_sft import dynsys
+
+    deg = len(z)
+    best, stale = math.inf, 0
+    try:
+        for _ in range(dynsys.MAX_SWEEPS):
+            worst = 0.0
+            for i in range(deg):
+                zi = z[i]
+                w = newton(zi)
+                s = 0j
+                for j in range(deg):
+                    if j != i:
+                        s += 1 / (zi - z[j])
+                delta = w / (1 - w * s)
+                z[i] = zi = zi - delta
+                worst = max(worst, abs(delta) / max(abs(zi), 1e-300))
+            if worst < dynsys.FLOAT_STEP:
+                break
+            if worst < best:
+                best, stale = worst, 0
+            else:
+                stale += 1
+                if stale >= dynsys.FLOAT_PATIENCE:
+                    break
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return z if all(cmath.isfinite(v) for v in z) else None
 
 
 def aberth_roots_mp(p, precision: int = 128, max_sweeps: int = 200):

@@ -30,7 +30,14 @@ from lattes_sft import (
 from lattes_sft import cli, dynsys
 from lattes_sft.exactnum import _prs_gcd
 from lattes_sft.intlinalg import poly_mul
-from reference import aberth_roots_mp, compose_fraction, compose_poly_mul, poly_mp, roots_mpc
+from reference import (
+    aberth_roots_mp,
+    compose_fraction,
+    compose_poly_mul,
+    float_sweeps_unfrozen,
+    poly_mp,
+    roots_mpc,
+)
 
 
 def P(*coeffs):
@@ -542,6 +549,55 @@ class TestAberth:
         # 1 / (z_i - z_j) divides by zero when two points coincide
         newton = dynsys._horner_float([-2, 0, 1])
         assert dynsys._float_sweeps(newton, [1 + 0j, 1 + 0j]) is None
+
+    def test_float_sweeps_freeze_a_point_once_its_step_is_below_float_step(self, monkeypatch):
+        # (4,2,0) at n = 3: the jet on 64 points.  A point is evaluated again
+        # only after a step of at least FLOAT_STEP (read back from its two
+        # positions, which rounding moves by under 2^-10 of that), and a
+        # point left behind ended on a step below it, so the float phase
+        # makes fewer than 64 Newton evaluations a sweep
+        calls, out = [], []
+        float_sweeps = dynsys._float_sweeps
+
+        def spy_sweeps(newton, z):
+            def spy(v):
+                calls.append((z.index(v), v))
+                return newton(v)
+
+            out.append(float_sweeps(spy, z))
+            return out[-1]
+
+        monkeypatch.setattr(dynsys, "_float_sweeps", spy_sweeps)
+        periodic_points(duplication_map(EllipticCurve(4, 2, 0)), 3)
+        (z,) = out
+        assert len(z) == 64
+        last, sweep, sweeps = {}, {}, 1
+        for k, (i, v) in enumerate(calls):
+            if k and i <= calls[k - 1][0]:
+                sweeps += 1
+            if i in last:
+                assert abs(v - last[i]) >= dynsys.FLOAT_STEP * (1 - 2**-10) * abs(v)
+            last[i], sweep[i] = v, sweeps
+        assert sorted(last) == list(range(64))
+        frozen = [i for i in last if sweep[i] < sweeps]
+        assert frozen
+        for i in frozen:
+            assert abs(last[i] - z[i]) < dynsys.FLOAT_STEP * (1 + 2**-10) * abs(z[i])
+        assert len(calls) < 64 * sweeps
+
+    @pytest.mark.parametrize(
+        "phi, periods",
+        [(duplication_map(EllipticCurve(*curve)), (1, 2, 3))
+         for curve in ((4, 2, 0), (0, 0, 1), (-3, -32, -64), (-4, -112, 656))]
+        + [(RationalMap(P(1, 0, 2), P(0, 3, 1)), (1, 2, 3)),
+           (RationalMap(P(1, -1, 0, 2), P(3, 0, 1)), (1, 2))],
+    )
+    def test_frozen_float_sweeps_locate_the_unfrozen_floats(self, monkeypatch, phi, periods):
+        # freezing a point whose step is below FLOAT_STEP moves no reported
+        # float against sweeps that evaluate every point every time
+        frozen = [periodic_points(phi, n).finite_points for n in periods]
+        monkeypatch.setattr(dynsys, "_float_sweeps", float_sweeps_unfrozen)
+        assert [periodic_points(phi, n).finite_points for n in periods] == frozen
 
     @pytest.mark.parametrize("precision", [64, 128, 1024])
     @settings(max_examples=80)
