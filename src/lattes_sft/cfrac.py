@@ -78,10 +78,7 @@ class QuadSurd:
         return hash((Fraction(self.P, self.Q), Fraction(self.D, self.Q * self.Q), self.Q > 0))
 
     def floor(self) -> int:
-        s = isqrt(self.D)
-        if self.Q > 0:
-            return (self.P + s) // self.Q
-        return -((self.P + s) // -self.Q) - 1
+        return surd_floor(self.P, self.Q, isqrt(self.D))
 
     def translate(self, k: int) -> "QuadSurd":
         """The surd plus the integer k."""
@@ -153,6 +150,11 @@ class ContinuedFraction:
         return cls(tuple(pre), tuple(per))
 
 
+def surd_floor(P: int, Q: int, s: int) -> int:
+    """floor((P + sqrt(D))/Q) from s = isqrt(D), D not a square."""
+    return (P + s) // Q if Q > 0 else -((P + s) // -Q) - 1
+
+
 def surd_step(P: int, Q: int, D: int, a: int) -> tuple[int, int]:
     """The integer form (P', Q') of 1/((P + sqrt(D))/Q - a), with D kept."""
     P = a * Q - P
@@ -171,7 +173,7 @@ def expand(x: QuadSurd) -> ContinuedFraction:
                 f"preperiod of {x} exceeds the expansion budget of {EXPAND_BUDGET} quotients "
                 f"(EXPAND_BUDGET = {EXPAND_BUDGET})"
             )
-        a = (P + s) // Q if Q > 0 else -((P + s) // -Q) - 1
+        a = surd_floor(P, Q, s)
         preperiod.append(a)
         P, Q = surd_step(P, Q, D, a)
     P0, Q0 = P, Q

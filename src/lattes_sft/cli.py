@@ -8,7 +8,7 @@ whole stdout is a single JSON document; diagnostics go to stderr.
 Each subcommand imports the library modules it runs when it runs, so a
 process loads only those: ``cfrac`` loads cfrac, ``zeta`` and
 ``shift-equiv`` exactnum and sft, ``periodic`` exactnum, lattes and dynsys,
-and ``functor``, ``compare`` and ``verify`` the whole chain.
+``compare`` the whole chain, and ``functor`` and ``verify`` all but dynsys.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 
-from .errors import PRECISION_BUDGET, PRECISION_FLOOR, DomainError, ParseError
+from .errors import (
+    DEFAULT_PRECISION, ENTRY_BOUND, LAG_BOUND, PRECISION_BUDGET, PRECISION_FLOOR, DomainError,
+    ParseError,
+)
 from .intlinalg import IntMatrix2, matrix_text
 
 EXIT_OK = 0
@@ -266,15 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--precision",
         type=int,
-        default=128,
+        default=DEFAULT_PRECISION,
         help=f"root-location precision of 'periodic' in bits ({PRECISION_FLOOR} to {PRECISION_BUDGET})",
     )
-    parser.add_argument(
-        "--entry-bound", type=int, default=10, help="entry bound for searches"
-    )
-    parser.add_argument(
-        "--lag-bound", type=int, default=6, help="lag bound for shift equivalence"
-    )
+    parser.add_argument("--entry-bound", type=int, default=ENTRY_BOUND,
+                        help="entry bound for searches")
+    parser.add_argument("--lag-bound", type=int, default=LAG_BOUND,
+                        help="lag bound for shift equivalence")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("functor", help="full invariant chain for (curve, D, eps)")

@@ -69,7 +69,9 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
 
-from .errors import PRECISION_BUDGET, PRECISION_FLOOR, BudgetExceededError, DomainError
+from .errors import (
+    DEFAULT_PRECISION, PRECISION_BUDGET, PRECISION_FLOOR, BudgetExceededError, DomainError
+)
 from .exactnum import Poly
 from .intlinalg import IntMatrix2, compose_pair
 from .lattes import RationalMap
@@ -596,7 +598,7 @@ def _polish(newton, z, precision: int):
     return out
 
 
-def aberth_roots(p: Poly, precision: int = 128, jet=None):
+def aberth_roots(p: Poly, precision: int = DEFAULT_PRECISION, jet=None):
     """All complex roots of a square-free polynomial by simultaneous
     (Aberth-Ehrlich) iteration; deterministic start, deterministic order.
 
@@ -713,7 +715,7 @@ def periodic_count(phi: RationalMap, n: int) -> PeriodicCount:
     )
 
 
-def periodic_points(phi: RationalMap, n: int, precision: int = 128) -> PeriodicReport:
+def periodic_points(phi: RationalMap, n: int, precision: int = DEFAULT_PRECISION) -> PeriodicReport:
     """Solutions of phi^n(x) = x with exact counts and float locations.
     Before the exact work it checks PRECISION_FLOOR and PRECISION_BUDGET,
     then the ITERATE_DEGREE_BUDGET that ``iterate`` applies, then

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the precision bounds the
-CLI states in its help text before it loads the module that applies them."""
+"""Exception types shared across the package, and the settings the CLI
+states before it loads the module that applies them."""
+
+# Default root-location precision in bits, of ``dynsys`` and the CLI.
+DEFAULT_PRECISION = 128
 
 # Largest root-location precision in bits, applied by
 # ``dynsys.periodic_points``: at 4096 bits ``periodic --curve 4,2,0`` takes
@@ -10,6 +13,11 @@ PRECISION_BUDGET = 4096
 # Smallest root-location precision in bits, applied by the same check: far
 # below it the zero rule's tolerance 2^(10 - precision) swallows points.
 PRECISION_FLOOR = 64
+
+# Default entry and lag bounds of ``sft.shift_equivalent`` and the CLI;
+# ``sft.gl2z_similar`` searches |entries| <= ENTRY_BOUND, read per call.
+ENTRY_BOUND = 10
+LAG_BOUND = 6
 
 
 class DomainError(ValueError):

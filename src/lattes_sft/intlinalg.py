@@ -512,11 +512,11 @@ def sylvester_solutions(A, B, lo: int, hi: int) -> list[Rows]:
     return [unflatten(v, n) for v in lattice_points_in_box(sylvester_basis(A, B), n * n, lo, hi)]
 
 
-def lattice_solutions(basis, n: int, f, C, lo: int, hi: int) -> Iterator[Rows]:
+def lattice_solutions(basis, n: int, f, C, hi: int) -> Iterator[Rows]:
     """Matrices X of the lattice with echelon basis ``basis`` (n x n
-    matrices X_i, flattened) with f(X) = C and every entry in [lo, hi], in
-    signed order (increasing when lo >= 0); f is an integer-linear map from
-    matrices to matrices.
+    matrices X_i, flattened) with f(X) = C and every entry in [0, hi], in
+    increasing order; f is an integer-linear map from matrices to
+    matrices.
 
     The points (t, X = sum c_i X_i) with f(X) = t C are the kernel of
     (t, c) -> sum c_i f(X_i) - t C carried to (t, X): one column echelon
@@ -527,7 +527,7 @@ def lattice_solutions(basis, n: int, f, C, lo: int, hi: int) -> Iterator[Rows]:
     ]
     m = len(graph[0]) - N - 1
     ech = [c[m:] for c in column_echelon(graph) if not any(c[:m])]
-    for v in lattice_points_in_box(ech, N + 1, [1] + [lo] * N, [1] + [hi] * N):
+    for v in lattice_points_in_box(ech, N + 1, [1] + [0] * N, [1] + [hi] * N):
         yield unflatten(v[1:], n)
 
 

@@ -59,12 +59,11 @@ class PseudoLattice:
 @dataclass(frozen=True)
 class SublatticeData:
     basis_matrix: IntMatrix2
-    index: int
     normalized: PseudoLattice
 
-    def __post_init__(self):
-        if self.index != abs(self.basis_matrix.det()):
-            raise DomainError("index must equal |det(basis_matrix)|")
+    @property
+    def index(self) -> int:
+        return abs(self.basis_matrix.det())
 
 
 def hnf2(M: IntMatrix2) -> IntMatrix2:
@@ -78,11 +77,6 @@ def hnf2(M: IntMatrix2) -> IntMatrix2:
     y = (c - x * M.c) // M.d if M.d else 0
     a = abs(M.det()) // c
     return IntMatrix2(a, (x * M.a + y * M.b) % a, 0, c)
-
-
-def _affine_surd(t: QuadSurd, add: int, mul: int, div: int) -> QuadSurd:
-    """The surd (add + mul*t)/div for mul > 0, div != 0."""
-    return QuadSurd(mul * t.P + add * t.Q, t.Q * div, mul * mul * t.D)
 
 
 def scale_lattice(L: PseudoLattice, eps: QuadElem) -> SublatticeData:
@@ -104,5 +98,6 @@ def scale_lattice(L: PseudoLattice, eps: QuadElem) -> SublatticeData:
         raise DomainError("not an endomorphism of this pseudo-lattice")
     M = IntMatrix2(a - bP // m, bN // m, bQ // m, a + bP // m)
     H = hnf2(M)
-    theta_p = _affine_surd(L.theta, H.b, H.d, H.a)
-    return SublatticeData(H, abs(M.det()), PseudoLattice(theta_p))
+    # theta' = (H.b + H.d*theta)/H.a, with H.d > 0
+    theta_p = QuadSurd(H.d * P + H.b * Q, Q * H.a, H.d * H.d * Dt)
+    return SublatticeData(H, PseudoLattice(theta_p))

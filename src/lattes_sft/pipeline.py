@@ -3,13 +3,13 @@ to shift-dynamics invariants, plus the side-by-side periodic-point
 comparison harness.
 
 The comparison harness uses exact counts only, with no root finding.  It
-reads the iterates from ``dynsys.iterates``, so it is bounded by the same
-ITERATE_DEGREE_BUDGET as ``iterate``, and rests on three identities that are
-internally forced: the Bezout count degree^n + 1 (asserted in
-``dynsys.periodic_count``), the trace/enumeration agreement, and the
-closed-form Lattes count 4^n + 1 of distinct period-n points of the
-doubling map.  The complex-map distinct count is reported next to the
-trace count, never asserted equal to it.
+reads the iterates from ``dynsys.iterates``, imported only when it runs,
+so it is bounded by the same ITERATE_DEGREE_BUDGET as ``iterate``, and
+rests on three identities that are internally forced: the Bezout count
+degree^n + 1 (asserted in ``dynsys.periodic_count``), the trace/enumeration
+agreement, and the closed-form Lattes count 4^n + 1 of distinct period-n
+points of the doubling map.  The complex-map distinct count is reported
+next to the trace count, never asserted equal to it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfrac import ContinuedFraction, QuadSurd, expand, period_matrix, surd_step
-from .dynsys import iterates, periodic_count
 from .errors import DomainError
 from .exactnum import QuadElem, companion_matrix
 from .intlinalg import IntMatrix2, is_square, square_part
@@ -104,11 +103,15 @@ def functor_invariants(D: int, eps: QuadElem) -> FunctorOutput:
     )
 
 
-def apply_functor(E: EllipticCurve, eps: QuadElem) -> FunctorOutput:
-    """Shift-dynamics invariants of the doubling dynamics on a CM curve."""
+def _cm_D(E: EllipticCurve) -> int:
     if E.cm_D is None:
         raise DomainError("curve carries no CM annotation D (CM by Q(sqrt(-D)))")
-    return functor_invariants(E.cm_D, eps)
+    return E.cm_D
+
+
+def apply_functor(E: EllipticCurve, eps: QuadElem) -> FunctorOutput:
+    """Shift-dynamics invariants of the doubling dynamics on a CM curve."""
+    return functor_invariants(_cm_D(E), eps)
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,9 @@ class ConjugacyVerdict:
 
 
 def conjugacy_test(out1: FunctorOutput, out2: FunctorOutput) -> ConjugacyVerdict:
-    """Shift equivalence of the two shift matrices, with GL2(Z) similarity
-    reported as corroboration, each at the default bounds of
-    ``shift_equivalent`` and ``gl2z_similar``."""
+    """Shift equivalence of the two shift matrices at the default bounds of
+    ``shift_equivalent``, with GL2(Z) similarity (``gl2z_similar``)
+    reported as corroboration."""
     se = shift_equivalent(SFTMatrix.from_intmatrix2(out1.A), SFTMatrix.from_intmatrix2(out2.A))
     sim = gl2z_similar(out1.A, out2.A)
     return ConjugacyVerdict(se, sim)
@@ -140,11 +143,11 @@ def comparison_report(E: EllipticCurve, eps: QuadElem, n_max: int) -> list[Compa
     iterates come from the one chain ``dynsys.iterates``, bounded by its
     ITERATE_DEGREE_BUDGET, and the period-n points of phi are the fixed
     points of phi^n."""
+    from .dynsys import iterates, periodic_count
+
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    if E.cm_D is None:
-        raise DomainError("curve carries no CM annotation D (CM by Q(sqrt(-D)))")
-    _check_field(E.cm_D, eps)
+    _check_field(_cm_D(E), eps)
     A = SFTMatrix.from_intmatrix2(companion_matrix(eps))
     rows = []
     for n, phin in enumerate(iterates(duplication_map(E), n_max), 1):

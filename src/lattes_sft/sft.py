@@ -4,17 +4,11 @@ Periodic-point counts come from two independent routes (matrix trace versus
 explicit closed-walk enumeration in the edge multigraph), zeta functions from
 det(I - tA), and K-type invariants from one Smith normal form (K0 and the
 Bowen-Franks group are isomorphic, see ``k_invariants``).  Shift equivalence
-is decided by invariant pre-filters followed by a bounded exhaustive search:
-any certificate (R, S, k) satisfies the Sylvester constraints A R = R B and
-B S = S A.  The candidates for R are the points of the first lattice in the
-entry box, read as the search reaches them (BOX_POINT_BUDGET counts those),
-and each gets one ``intlinalg.scaled_inverse``.  A nonsingular R has the
-one S = R^-1 A^k, which has B S = S A and S R = B^k because A R = R B: one
-product W A^k and an exact division by |det R| per lag.  As
-det R det S = det(A)^k, a singular R has no S when det A != 0; when
-det A = 0 its S at each lag are the integer points of the second lattice
-with R S = A^k and S R = B^k, found by one integer solve
-(``intlinalg.lattice_solutions``).  Exhausting the bounds yields Unknown.
+is decided by invariant pre-filters followed by a bounded exhaustive search
+for a certificate (R, S, k), which satisfies the Sylvester constraints
+A R = R B and B S = S A (``shift_equivalent``), and GL2(Z) similarity by a
+bounded search for a unimodular conjugator (``gl2z_similar``).  Exhausting
+the bounds yields Unknown.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import BudgetExceededError, DomainError, ParseError
+from .errors import ENTRY_BOUND, LAG_BOUND, BudgetExceededError, DomainError, ParseError
 from .exactnum import Poly
 from .intlinalg import (
     IntMatrix2,
@@ -256,22 +250,14 @@ def zeta_sft(A: SFTMatrix) -> ZetaRational:
     return ZetaRational(Poly.one(), Poly._from_ints(reversed(charpoly(A.rows))))
 
 
-def k_invariants(A) -> KInvariants:
+def k_invariants(A: SFTMatrix) -> KInvariants:
     """K-group data of the shift matrix from one Smith normal form.
 
     K0 = Z^n/(I - A^t)Z^n, K1 = ker(I - A^t), Bowen-Franks = Z^n/(I - A)Z^n,
     and K0 = BF because coker(M) = coker(M^t): one Smith diagonal of A - I,
-    the same as that of I - A, gives all three.  Accepts an SFTMatrix or any
-    square integer row tuple (non-negativity is not needed for these
-    quotients).
+    the same as that of I - A, gives all three.
     """
-    rows = A.rows if isinstance(A, SFTMatrix) else tuple(
-        tuple(int(v) for v in r) for r in A
-    )
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DomainError("matrix must be square")
-    bf = AbelianGroupInvariant.from_smith_diagonal(smith_normal_form(add_scalar(rows, -1)))
+    bf = AbelianGroupInvariant.from_smith_diagonal(smith_normal_form(add_scalar(A.rows, -1)))
     return KInvariants(K0=bf, K1_rank=bf.rank, bowen_franks=bf)
 
 
@@ -305,7 +291,7 @@ SYLVESTER_BUDGET = 5 * 10**13
 
 
 def shift_equivalent(
-    A: SFTMatrix, B: SFTMatrix, entry_bound: int = 10, lag_bound: int = 6
+    A: SFTMatrix, B: SFTMatrix, entry_bound: int = ENTRY_BOUND, lag_bound: int = LAG_BOUND
 ) -> SEResult:
     """Decide shift equivalence over the non-negative integers within bounds.
 
@@ -313,16 +299,17 @@ def shift_equivalent(
     for lexicographically by (lag, R, S), so the returned certificate is the
     least one inside the bounds: R runs over the box points of the lattice
     {A R = R B}, read one at a time at lag 1 and kept for later lags with
-    its ``scaled_inverse``.  A nonsingular R has the one S = R^-1 A^k; when
-    det A != 0 it is skipped at lag k unless |det R| divides det(A)^k.  A
-    singular R is skipped when det A != 0, as det R det S = det(A)^k; when
-    det A = 0 one integer solve on the lattice {B S = S A} gives its least
-    S with R S = A^k and S R = B^k.  Every (lag, R) is charged to the
-    budget before its test, so verdicts and witnesses do not depend on the
-    path.  Past SEARCH_BUDGET, or past BOX_POINT_BUDGET candidates for R
-    reached, the result is unknown.  Past the pre-filters, n^12 b^2 over
-    SYLVESTER_BUDGET raises BudgetExceededError before any Sylvester system
-    is eliminated.
+    its ``scaled_inverse``.  A nonsingular R has the one S = R^-1 A^k, one
+    product W A^k and an exact division by |det R|; when det A != 0 it is
+    skipped at lag k unless |det R| divides det(A)^k.  A singular R is
+    skipped when det A != 0, as det R det S = det(A)^k; when det A = 0 one
+    integer solve (``intlinalg.lattice_solutions``) on the lattice
+    {B S = S A} gives its least S with R S = A^k and S R = B^k.  Every
+    (lag, R) is charged to the budget before its test, so verdicts and
+    witnesses do not depend on the path.  Past SEARCH_BUDGET, or past
+    BOX_POINT_BUDGET candidates for R reached, the result is unknown.  Past
+    the pre-filters, n^12 b^2 over SYLVESTER_BUDGET raises
+    BudgetExceededError before any Sylvester system is eliminated.
     A = B short-circuits to the reflexivity certificate (I, A, 1).
     """
     if A.n != B.n:
@@ -368,11 +355,12 @@ def shift_equivalent(
     # (R, scaled_inverse(R)) of each R read at lag 1
     r_read = []
     # A^k and det(A)^k, or B^k when det A = 0, are running products: one
-    # product per lag
-    Ak, det_ak, Bk = A.rows, det_a, B.rows
+    # product per lag, made only when some R reads them.  Whether an R reads
+    # them depends on R and det A alone, so lag 1 settles it
+    Ak, det_ak, Bk, reads = A.rows, det_a, B.rows, False
     try:
         for k in range(1, lag_bound + 1):
-            if k > 1:
+            if k > 1 and reads:
                 Ak = mat_mul(Ak, A.rows)
                 if det_a:
                     det_ak *= det_a
@@ -387,6 +375,9 @@ def shift_equivalent(
                     c = R, scaled_inverse(R)
                     r_read.append(c)
                 R, inv = c
+                if not inv and det_a:
+                    continue  # det R det S = 0 != det(A)^k
+                reads = True
                 if inv:
                     d, W = inv  # d = |det R|, W = d R^-1
                     if det_a and det_ak % d:
@@ -397,12 +388,10 @@ def shift_equivalent(
                     if any(not 0 <= v <= hi or v % d for row in dS for v in row):
                         continue
                     S = tuple(tuple(v // d for v in row) for row in dS)
-                elif det_a:
-                    continue  # det R det S = 0 != det(A)^k
                 else:
                     # R S = A^k stacked on S R = B^k
                     f = lambda S: mat_mul(R, S) + mat_mul(S, R)  # noqa: E731
-                    S = next(lattice_solutions(s_basis, A.n, f, Ak + Bk, 0, entry_bound), None)
+                    S = next(lattice_solutions(s_basis, A.n, f, Ak + Bk, entry_bound), None)
                     if S is None:
                         continue
                 cert = SECertificate.build(A, B, R, S, k)
@@ -417,13 +406,11 @@ def shift_equivalent(
     )
 
 
-def gl2z_similar(A: IntMatrix2, B: IntMatrix2, bound: int = 10) -> SimilarityResult:
-    """Decide GL2(Z) similarity A' = T^{-1} A T within the entry bound: the
-    T with A T = T B and entries in [-bound, bound] are read in signed order
-    (``lattice_points_in_box``), and the first unimodular one, the least in
-    that order, is returned."""
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
+def gl2z_similar(A: IntMatrix2, B: IntMatrix2) -> SimilarityResult:
+    """Decide GL2(Z) similarity A' = T^{-1} A T within ENTRY_BOUND: the T
+    with A T = T B and entries in [-ENTRY_BOUND, ENTRY_BOUND] are read in
+    signed order (``lattice_points_in_box``), and the first unimodular one,
+    the least in that order, is returned."""
     if A == B:
         return SimilarityResult("similar", T=IntMatrix2.identity())
     if (A.trace(), A.det()) != (B.trace(), B.det()):
@@ -451,9 +438,9 @@ def gl2z_similar(A: IntMatrix2, B: IntMatrix2, bound: int = 10) -> SimilarityRes
                     ),
                 )
     basis = sylvester_basis(A.rows(), B.rows())
-    for a, b, c, d in lattice_points_in_box(basis, 4, -bound, bound):
+    for a, b, c, d in lattice_points_in_box(basis, 4, -ENTRY_BOUND, ENTRY_BOUND):
         if abs(a * d - b * c) == 1:
             return SimilarityResult("similar", T=IntMatrix2(a, b, c, d))
     return SimilarityResult(
-        "unknown", witness=f"no unimodular conjugator with |entries| <= {bound}"
+        "unknown", witness=f"no unimodular conjugator with |entries| <= {ENTRY_BOUND}"
     )

@@ -105,7 +105,7 @@ def scale_lattice_fraction(L, eps):
     H = hnf2(M)
     t = L.theta
     theta_p = QuadSurd(H.d * t.P + H.b * t.Q, t.Q * H.a, H.d * H.d * t.D)
-    return SublatticeData(H, abs(M.det()), PseudoLattice(theta_p))
+    return SublatticeData(H, PseudoLattice(theta_p))
 
 
 def hnf_oracle(u1: int, v1: int, u2: int, v2: int, window: int = 60):
@@ -322,7 +322,7 @@ def shift_equivalent_unfiltered(A, B, entry_bound: int = 10, lag_bound: int = 6,
                 if work > budget:
                     raise BudgetExceededError("budget")
                 f = lambda S, R=R: mat_mul(R, S) + mat_mul(S, R)  # noqa: E731
-                S = next(lattice_solutions(s_basis, A.n, f, AkBk, 0, entry_bound), None)
+                S = next(lattice_solutions(s_basis, A.n, f, AkBk, entry_bound), None)
                 if S is not None:
                     return SEResult(
                         "equivalent", certificate=SECertificate.build(A, B, R, S, k)

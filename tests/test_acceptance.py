@@ -192,7 +192,8 @@ def test_c7_k_theory(capsys):
     z2 = str(k_invariants(SFTMatrix(((3,),))).K0) == "Z/2"
     rng = random.Random(707)
     invariant = True
-    for _ in range(20):
+    found = 0
+    while found < 20:  # conjugates that are again edge shifts
         A = tuple(tuple(rng.randint(0, 5) for _ in range(2)) for _ in range(2))
         T = random_unimodular(rng)
         d = T.det()
@@ -207,7 +208,10 @@ def test_c7_k_theory(capsys):
             )
             for i in range(2)
         )
-        if k_invariants(A) != k_invariants(conj):
+        if min(min(r) for r in conj) < 0:
+            continue
+        found += 1
+        if k_invariants(SFTMatrix(A)) != k_invariants(SFTMatrix(conj)):
             invariant = False
     with capsys.disabled():
         check(

@@ -39,6 +39,8 @@ class TestQuadSurd:
     def test_equality_across_representations(self):
         assert surd(0, 2, 8) == surd(0, 1, 2)  # sqrt(8)/2 = sqrt(2)
         assert surd(2, 2, 8) != surd(0, 1, 2)
+        # a surd equals only a surd
+        assert (surd(1, 1, 2) == 1) is False and surd(1, 1, 2) != 1
 
     def test_equality_factors_nothing(self):
         # D = 2^61 - 1 is prime, far past the trial-division budget

@@ -634,8 +634,8 @@ _EPS = ["--D", "2", "--eps", "0+1*sqrt(2)"]
             _CLI_BASE | {"exactnum", "lattes", "dynsys"},
             id="periodic",
         ),
-        pytest.param(["functor", *_EPS], _ALL_MODULES, id="functor"),
-        pytest.param(["verify"], _ALL_MODULES, id="verify"),
+        pytest.param(["functor", *_EPS], _ALL_MODULES - {"dynsys"}, id="functor"),
+        pytest.param(["verify"], _ALL_MODULES - {"dynsys"}, id="verify"),
         pytest.param(["compare", "--curve", "4,2,0", *_EPS, "-n", "1"], _ALL_MODULES, id="compare"),
     ],
 )

@@ -44,6 +44,12 @@ class TestQuadArith:
         with pytest.raises(DomainError):
             elem(1, 1) / elem(0, 0)
 
+    def test_negation_and_conjugate(self):
+        x = elem(3, -2)
+        assert -x == elem(-3, 2) and x + -x == elem(0, 0)
+        assert x.conjugate() == elem(3, 2)
+        assert x * x.conjugate() == elem(x.norm(), 0)
+
     def test_mismatched_fields(self):
         with pytest.raises(DomainError):
             elem(1, 1, 2) + elem(1, 1, 3)
@@ -170,6 +176,22 @@ class TestPolyOps:
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
             divmod(P(1, 1), Poly())
+
+    def test_immutable(self):
+        p = P(1, 2)
+        with pytest.raises(AttributeError, match="Poly is immutable"):
+            p.ints = (3,)
+        assert p == P(1, 2)
+
+    def test_equality_and_truth(self):
+        # a Poly equals only a Poly, and only the zero polynomial is false
+        assert (P(1) == 1) is False and P(1) != 1
+        assert not Poly() and P(0) == Poly()
+        assert P(1) and P(0, 1)
+
+    def test_gcd_with_zero_is_the_other_monic(self):
+        assert Poly().gcd(P(2, 4)) == P(Fraction(1, 2), 1)
+        assert P(2, 4).gcd(Poly()) == P(Fraction(1, 2), 1)
 
     def test_zero_has_no_squarefree_part(self):
         with pytest.raises(DomainError, match="no square-free part"):

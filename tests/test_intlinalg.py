@@ -15,6 +15,7 @@ from lattes_sft.intlinalg import (
     column_echelon,
     compose_pair,
     identity,
+    is_square,
     kernel_basis,
     lattice_points_in_box,
     lattice_solutions,
@@ -44,6 +45,10 @@ def test_xgcd():
         assert g >= 0 and a * x + b * y == g
         if a or b:
             assert a % g == 0 and b % g == 0
+
+
+def test_is_square():
+    assert [n for n in range(-9, 17) if is_square(n)] == [0, 1, 4, 9, 16]
 
 
 def test_charpoly_matches_det_and_trace():
@@ -548,15 +553,15 @@ def test_lattice_solutions_match_filtered_sylvester_solutions():
         # a right-hand side with solutions, or an arbitrary one
         R = rand_matrix(rng, n, 0, 2)
         C = mat_mul(R, rng.choice(box)) if rng.random() < 0.7 else rand_matrix(rng, n, 0, 4)
-        got = list(lattice_solutions(sylvester_basis(A, B), n, lambda X: mat_mul(R, X), C, 0, 3))
+        got = list(lattice_solutions(sylvester_basis(A, B), n, lambda X: mat_mul(R, X), C, 3))
         assert got == [X for X in box if mat_mul(R, X) == C]
     # the zero lattice: X = 0 solves R X = C exactly when C = 0
     empty = sylvester_basis(((1, 0), (0, 1)), ((2, 0), (0, 2)))
     assert empty == []
     zero = ((0, 0), (0, 0))
     R = ((1, 2), (0, 1))
-    assert list(lattice_solutions(empty, 2, lambda X: mat_mul(R, X), zero, 0, 3)) == [zero]
-    assert list(lattice_solutions(empty, 2, lambda X: mat_mul(R, X), R, 0, 3)) == []
+    assert list(lattice_solutions(empty, 2, lambda X: mat_mul(R, X), zero, 3)) == [zero]
+    assert list(lattice_solutions(empty, 2, lambda X: mat_mul(R, X), R, 3)) == []
 
 
 def test_sylvester_solutions_satisfy_constraint():

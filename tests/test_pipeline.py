@@ -327,13 +327,15 @@ class TestComparisonReport:
             assert rows == expected
 
     def test_closed_form_count_checked(self, monkeypatch):
-        from lattes_sft import dynsys, pipeline
+        from lattes_sft import dynsys
+
+        periodic_count = dynsys.periodic_count
 
         def one_short(phi, n):
-            count = dynsys.periodic_count(phi, n)
+            count = periodic_count(phi, n)
             return dataclasses.replace(count, count_distinct=count.count_distinct - 1)
 
-        monkeypatch.setattr(pipeline, "periodic_count", one_short)
+        monkeypatch.setattr(dynsys, "periodic_count", one_short)
         with pytest.raises(ArithmeticError, match="closed-form"):
             comparison_report(CURVE, SQRT2, 1)
 

@@ -136,13 +136,18 @@ class TestKInvariants:
         assert inv.K1_rank == 2
 
     def test_similarity_invariance(self):
+        # over 25 GL2(Z) conjugates that are again edge shifts
         rng = random.Random(113)
-        for _ in range(25):
+        found = 0
+        while found < 25:
             A = tuple(tuple(rng.randint(0, 4) for _ in range(2)) for _ in range(2))
             T = random_unimodular(rng)
             Tinv_rows = _inverse_unimodular(T)
             conj = _mul(_mul(Tinv_rows, A), T.rows())
-            assert k_invariants(A) == k_invariants(conj)
+            if min(min(r) for r in conj) < 0:
+                continue
+            assert k_invariants(SFTMatrix(A)) == k_invariants(SFTMatrix(conj))
+            found += 1
 
     def test_group_string_forms(self):
         assert str(AbelianGroupInvariant(0, ())) == "trivial"
@@ -156,7 +161,7 @@ class TestKInvariants:
 
     def test_rows_must_be_square(self):
         with pytest.raises(DomainError, match="matrix must be square"):
-            k_invariants(((1, 2),))
+            k_invariants(SFTMatrix(((1, 2),)))
 
 
 def _mul(X, Y):
@@ -323,8 +328,8 @@ class TestShiftEquivalent:
         assert res.witness == "no certificate with entries <= 10 and lag <= 6"
 
     def test_each_lag_takes_one_product(self, monkeypatch):
-        # det A = -5 and the only R in the box is 0, so no R reads A^k;
-        # A^k is a running product, not a fresh power at each lag
+        # det A = -5 and the only R in the box is 0, which is singular, so
+        # no R reads A^k and no lag makes it
         calls = []
         real = intlinalg.mat_mul
         for mod in (sft, intlinalg):
@@ -336,8 +341,18 @@ class TestShiftEquivalent:
             res = shift_equivalent(A, B, 1, lags)
             assert res.witness == f"no certificate with entries <= 1 and lag <= {lags}"
             counts[lags] = len(calls)
-        # past the pre-filters' products, at most one per lag
-        assert counts[2] - counts[1] <= 1 and counts[40] - counts[1] <= 39
+        # past the pre-filters' products, none for a lag that no R reads
+        assert counts[2] == counts[1] and counts[40] == counts[1]
+        # on the worked pair at entry bound 1 the one R, a permutation, reads
+        # A^k at every lag: A^k is a running product, not a fresh power, so
+        # each lag adds one step of A^k and one W A^k
+        read = {}
+        for lags in (2, 3, 40, 41):
+            calls.clear()
+            res = shift_equivalent(A_WORKED, B_WORKED, 1, lags)
+            assert res.witness == f"no certificate with entries <= 1 and lag <= {lags}"
+            read[lags] = len(calls)
+        assert read[3] - read[2] == read[41] - read[40] == 2
 
     def test_singular_candidates_are_never_solved(self, monkeypatch):
         # A and B are not similar over Q, so every R with A R = R B is
@@ -508,7 +523,8 @@ class TestGl2zSimilar:
         assert res.status == "not_similar"
         assert "characteristic" in res.witness
 
-    def test_random_conjugates_detected(self):
+    def test_random_conjugates_detected(self, monkeypatch):
+        monkeypatch.setattr(sft, "ENTRY_BOUND", 8)
         rng = random.Random(131)
         for _ in range(15):
             A = IntMatrix2(*(rng.randint(-3, 3) for _ in range(4)))
@@ -516,27 +532,25 @@ class TestGl2zSimilar:
             d = T.det()
             Tinv = IntMatrix2(T.d // d, -T.b // d, -T.c // d, T.a // d)
             B = Tinv * A * T
-            res = gl2z_similar(A, B, bound=8)
+            res = gl2z_similar(A, B)
             assert res.status == "similar"
             got = res.T
             assert A * got == got * B and abs(got.det()) == 1
 
-    def test_bound_below_1_rejected(self):
-        with pytest.raises(DomainError, match="bound must be >= 1"):
-            gl2z_similar(IntMatrix2(0, 1, 2, 0), IntMatrix2(0, 2, 1, 0), bound=0)
-
-    def test_unknown_when_bound_tiny(self):
+    def test_unknown_when_bound_tiny(self, monkeypatch):
         # conjugate by a large shear so that every conjugator is out of range
         A = IntMatrix2(0, 1, 2, 0)
         T = IntMatrix2(1, 7, 0, 1)
         Tinv = IntMatrix2(1, -7, 0, 1)
         B = Tinv * A * T
-        res = gl2z_similar(A, B, bound=2)
+        monkeypatch.setattr(sft, "ENTRY_BOUND", 2)
+        res = gl2z_similar(A, B)
         assert res.status in ("unknown", "similar")
-        res_big = gl2z_similar(A, B, bound=20)
+        monkeypatch.setattr(sft, "ENTRY_BOUND", 20)
+        res_big = gl2z_similar(A, B)
         assert res_big.status == "similar"
 
-    def test_matches_listing_oracle(self):
+    def test_matches_listing_oracle(self, monkeypatch):
         # the first unimodular T in signed order is the least of the listing
         rng = random.Random(139)
         seen = set()
@@ -553,7 +567,8 @@ class TestGl2zSimilar:
                 A = IntMatrix2(l1, rng.randint(-4, 4), 0, l2)
                 B = IntMatrix2(l2, 0, rng.randint(-4, 4), l1)
             for bound in range(1, 11):
-                res = gl2z_similar(A, B, bound)
+                monkeypatch.setattr(sft, "ENTRY_BOUND", bound)
+                res = gl2z_similar(A, B)
                 assert res == gl2z_similar_listing(A, B, bound), (A, B, bound)
                 seen.add(res.status)
         assert seen == {"similar", "not_similar", "unknown"}
